@@ -13,9 +13,6 @@ drifts cannot bias the ratios):
 * ``protected`` - the full ``opt-online+mem`` ABFT transform through
   ``repro.plan(n, backend="fftlib")`` (what the paper's overhead figures
   are measured on top of);
-* ``threaded`` - the shared-memory six-step program
-  (``plan_fft(n, threads=T)``; ``T`` from ``REPRO_BENCH_THREADS``, default
-  the pool size) - chunked row/column FFT phases on the worker pool;
 * ``rfft_compiled`` - the compiled half-complex real-input path
   (``plan_fft(n, real=True)``: half-length complex program + one repack
   pass);
@@ -91,7 +88,6 @@ import repro
 from repro.fftlib.mixed_radix import fft as recursive_fft
 from repro.fftlib.native import native_supported
 from repro.fftlib.planner import plan_fft
-from repro.runtime import default_thread_count
 from repro.utils.reporting import Table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -208,7 +204,6 @@ def run(write: bool = True) -> dict:
     sizes = env_int_list("REPRO_BENCH_SIZES", DEFAULT_SIZES)
     repeats = env_int("REPRO_BENCH_REPEATS", 7)
     inner = env_int("REPRO_BENCH_INNER", 4)
-    threads = env_int("REPRO_BENCH_THREADS", default_thread_count())
 
     with_native = native_supported()
     table = Table(
@@ -219,7 +214,6 @@ def run(write: bool = True) -> dict:
             "compiled [ms]",
             "native [ms]",
             "inplace [ms]",
-            f"threaded x{threads} [ms]",
             "numpy [ms]",
             "protected [ms]",
             "rfft [ms]",
@@ -227,7 +221,6 @@ def run(write: bool = True) -> dict:
             "native vs compiled",
             "native vs numpy",
             "inplace vs compiled",
-            "threaded speedup",
             "protected vs compiled",
             "telemetry overhead",
             "rfft speedup",
@@ -240,7 +233,6 @@ def run(write: bool = True) -> dict:
         bins = int(n) // 2 + 1
         compiled_plan = plan_fft(int(n), backend="fftlib")
         inplace_plan = plan_fft(int(n), backend="fftlib", inplace=True)
-        threaded_plan = plan_fft(int(n), backend="fftlib", threads=threads)
         numpy_plan = plan_fft(int(n), backend="numpy")
         protected_plan = repro.plan(int(n), backend="fftlib")
         real_plan = plan_fft(int(n), backend="fftlib", real=True)
@@ -267,7 +259,6 @@ def run(write: bool = True) -> dict:
             "recursive": lambda x=x: recursive_fft(x),
             "compiled": lambda x=x, p=compiled_plan: p.execute(x),
             "inplace": run_inplace,
-            "threaded": lambda x=x, p=threaded_plan: p.execute(x),
             "numpy": lambda x=x, p=numpy_plan: p.execute(x),
             "protected": lambda x=x, p=protected_plan: p.execute(x),
             "protected_traced": run_protected_traced,
@@ -294,7 +285,6 @@ def run(write: bool = True) -> dict:
         )
         speedup = best["recursive"] / best["compiled"]
         inplace_speedup = best["compiled"] / best["inplace"]
-        threaded_speedup = best["compiled"] / best["threaded"]
         protected_ratio = best["protected"] / best["compiled"]
         telemetry_ratio = best["protected_traced"] / best["protected"]
         real_speedup = best["rfft_complex_engine"] / best["rfft_compiled"]
@@ -307,14 +297,12 @@ def run(write: bool = True) -> dict:
         results.append(
             {
                 "n": int(n),
-                "threads": int(threads),
                 "seconds": {name: float(t) for name, t in best.items()},
                 "speedup_compiled_vs_recursive": float(speedup),
                 "speedup_numpy_vs_recursive": float(best["recursive"] / best["numpy"]),
                 "speedup_protected_vs_recursive": float(best["recursive"] / best["protected"]),
                 "protected_over_compiled_ratio": float(protected_ratio),
                 "telemetry_overhead_ratio": float(telemetry_ratio),
-                "speedup_threaded_vs_compiled": float(threaded_speedup),
                 "speedup_inplace_vs_compiled": float(inplace_speedup),
                 "speedup_real_vs_complex_engine": float(real_speedup),
                 "speedup_real_vs_numpy_rfft": float(best["rfft_numpy"] / best["rfft_compiled"]),
@@ -329,7 +317,6 @@ def run(write: bool = True) -> dict:
             f"{best['compiled'] * 1e3:.3f}",
             f"{best['native'] * 1e3:.3f}" if with_native else "-",
             f"{best['inplace'] * 1e3:.3f}",
-            f"{best['threaded'] * 1e3:.3f}",
             f"{best['numpy'] * 1e3:.3f}",
             f"{best['protected'] * 1e3:.3f}",
             f"{best['rfft_compiled'] * 1e3:.3f}",
@@ -337,7 +324,6 @@ def run(write: bool = True) -> dict:
             f"{native_vs_compiled:.2f}x" if with_native else "-",
             f"{native_vs_numpy:.2f}x" if with_native else "-",
             f"{inplace_speedup:.2f}x",
-            f"{threaded_speedup:.2f}x",
             f"{protected_ratio:.2f}x",
             f"{telemetry_ratio:.3f}x",
             f"{real_speedup:.2f}x",
@@ -348,8 +334,7 @@ def run(write: bool = True) -> dict:
         "description": (
             "plan(n, backend='fftlib').execute (compiled stage programs) vs the "
             "seed-style recursive mixed-radix engine, the numpy backend, and the "
-            "fully protected opt-online+mem plan; threaded column is the "
-            "shared-memory six-step program on REPRO_BENCH_THREADS workers; "
+            "fully protected opt-online+mem plan; "
             "rfft_* columns compare the compiled half-complex real path against "
             "the complex engine on the same real input and numpy.fft.rfft; the "
             "inplace column is the Stockham autosort program overwriting a "
@@ -364,11 +349,10 @@ def run(write: bool = True) -> dict:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
-            "cores": default_thread_count(),
+            "cores": os.cpu_count(),
         },
         "repeats": repeats,
         "inner": inner,
-        "threads": int(threads),
         "results": results,
     }
     if write:
@@ -392,12 +376,6 @@ def check(payload: dict) -> None:
         # ratio is meaningful.
         if row["n"] >= 16384:
             assert row["speedup_real_vs_complex_engine"] > 1.0, row
-        # The threaded six-step must beat the serial compiled program at the
-        # paper's 2^20 regime, but only where real parallelism exists: at
-        # least 4 cores and 2 pool workers (a 1-core CI container runs the
-        # chunks inline and can only measure the chunking overhead).
-        if row["n"] >= 2**20 and default_thread_count() >= 4 and row["threads"] >= 2:
-            assert row["speedup_threaded_vs_compiled"] > 1.0, row
 
 
 def check_against_reference(payload: dict, reference: dict, tolerance: float) -> list:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro import FaultInjector, FaultSite, available_schemes
+from repro import FaultInjector, FaultSite
+from repro.core.config import legacy_scheme_names
 
 
 def relative_error(reference: np.ndarray, candidate: np.ndarray) -> float:
@@ -82,7 +83,7 @@ def main() -> None:
     print("\nscheme comparison on the same faulty run "
           "(computational fault in the first part):")
     print(f"  {'scheme':<18s} {'detected':<9s} {'corrected':<10s} {'rel. error':<12s}")
-    for name in available_schemes():
+    for name in legacy_scheme_names():
         injector = FaultInjector().arm_computational(FaultSite.STAGE1_COMPUTE, magnitude=5.0)
         res = repro.plan(n, name).execute(x, injector)
         print(

@@ -45,27 +45,11 @@ half-complex program (~2x fewer flops/bytes) and protect the packed
 >>> bool(np.allclose(pr.execute(xr).output, np.fft.rfft(xr)))
 True
 
-Multicore execution is a config knob: ``threads=N`` (or ``0`` for the
-``REPRO_THREADS``/core-count automatic size) runs fault-free batches
-chunk-parallel on a shared worker pool with per-chunk checksum
-verification; for single *unprotected* transforms, the threaded six-step
-lowering lives on the raw plan layer
-(``repro.fftlib.planner.plan_fft(n, threads=N)``):
-
->>> pt = repro.plan(4096, threads=2)
->>> batch = pt.execute_many(X)
->>> bool(np.allclose(batch.output, np.fft.fft(X, axis=-1)))
-True
-
-The pre-1.1 entry points (``FaultTolerantFFT``, ``create_scheme``,
-``ft_fft``) remain available as deprecation shims over the plan API.
-
 See ``examples/`` for fault-injection demos and ``benchmarks/`` for the
 harnesses that regenerate every table and figure of the paper.
 """
 
 from repro import telemetry
-from repro.core.api import FaultTolerantFFT, available_schemes, create_scheme, ft_fft
 from repro.core.base import OptimizationFlags, SchemeResult
 from repro.core.config import FTConfig
 from repro.core.ftplan import (
@@ -86,14 +70,6 @@ from repro.fftlib.backends import (
     get_backend,
     register_backend,
     set_default_backend,
-)
-from repro.runtime import (
-    PoolInfo,
-    ThreadedSixStepProgram,
-    configure_pool,
-    default_thread_count,
-    pool_info,
-    shutdown_pool,
 )
 
 __version__ = "1.1.0"
@@ -127,10 +103,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "set_default_backend",
-    "FaultTolerantFFT",
-    "available_schemes",
-    "create_scheme",
-    "ft_fft",
     "OptimizationFlags",
     "SchemeResult",
     "RoundoffModel",
@@ -139,11 +111,5 @@ __all__ = [
     "FaultKind",
     "FaultSite",
     "FaultSpec",
-    "PoolInfo",
-    "ThreadedSixStepProgram",
-    "configure_pool",
-    "default_thread_count",
-    "pool_info",
-    "shutdown_pool",
     "__version__",
 ]

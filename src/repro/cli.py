@@ -14,9 +14,6 @@ repro.cli <command>``:
 ``inject``
     Run a protected transform with a soft error injected at a chosen site
     and show detection/correction behaviour and the residual output error.
-``bench``
-    Time the serial compiled path against the shared-memory threaded
-    runtime (``--threads``) for one size, both unprotected and protected.
 ``predict``
     Print the Section 7 overhead predictions for a problem size (and,
     optionally, the parallel per-rank figures).
@@ -49,8 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.api import available_schemes
-from repro.core.config import FTConfig
+from repro.core.config import FTConfig, legacy_scheme_names
 from repro.core.ftplan import FTPlan, plan
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultKind, FaultSite, FaultSpec
@@ -73,7 +69,7 @@ def _load_signal(args: argparse.Namespace) -> np.ndarray:
     is read as float64 samples) to feed the packed rfft path.
     """
 
-    real = getattr(args, "real", False)
+    real = _wants_real(args)
     if args.input:
         dtype = np.float64 if real else np.complex128
         values = np.loadtxt(args.input, dtype=dtype, ndmin=1)
@@ -113,14 +109,29 @@ def _load_batch(args: argparse.Namespace, x: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
+def _scheme_name(name: str) -> str:
+    """``--scheme`` type: any name :meth:`FTConfig.from_name` accepts."""
+
+    try:
+        FTConfig.from_name(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return name
+
+
+def _wants_real(args: argparse.Namespace) -> bool:
+    """``--real``, or a ``+real`` flag carried by the ``--scheme`` name."""
+
+    return bool(getattr(args, "real", False)) or FTConfig.from_name(args.scheme).real
+
+
 def _make_plan(args: argparse.Namespace, n: int) -> FTPlan:
-    """The (cached) FTPlan from ``--scheme``/``--backend``/``--real``/``--threads``."""
+    """The (cached) FTPlan from ``--scheme``/``--backend``/``--real``/``--inplace``."""
 
     config = FTConfig.from_name(
         args.scheme,
         backend=args.backend,
         real=getattr(args, "real", False),
-        threads=getattr(args, "threads", None),
         inplace=getattr(args, "inplace", False),
         native=getattr(args, "native", False),
     )
@@ -136,7 +147,7 @@ def _execute_signal(ft_plan: FTPlan, args: argparse.Namespace, x: np.ndarray, in
     """
 
     if getattr(args, "inplace", False):
-        if getattr(args, "real", False):
+        if _wants_real(args):
             out = np.empty(x.size // 2 + 1, dtype=np.complex128)
             return ft_plan.execute(np.array(x, dtype=np.float64), injector, out=out)
         buf = np.array(x, dtype=np.complex128)
@@ -147,7 +158,7 @@ def _execute_signal(ft_plan: FTPlan, args: argparse.Namespace, x: np.ndarray, in
 def _execute_batch(ft_plan: FTPlan, args: argparse.Namespace, X: np.ndarray, injector=None):
     """Run a batch through the plan, honouring ``--inplace`` (complex only)."""
 
-    if getattr(args, "inplace", False) and not getattr(args, "real", False):
+    if getattr(args, "inplace", False) and not _wants_real(args):
         buf = np.array(X, dtype=np.complex128)
         return ft_plan.execute_many(buf, injector=injector, out=buf)
     return ft_plan.execute_many(X, injector=injector)
@@ -164,7 +175,7 @@ def _reference_spectrum(args: argparse.Namespace, x: np.ndarray) -> np.ndarray:
     """
 
     reference = get_backend("numpy")
-    if getattr(args, "real", False):
+    if _wants_real(args):
         return reference.rfft(x, axis=-1)
     return reference.fft(np.asarray(x, dtype=np.complex128), axis=-1)
 
@@ -178,8 +189,9 @@ def _add_signal_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="file with one (complex) sample per line")
     parser.add_argument("--seed", type=int, default=None, help="seed for the synthetic input")
     parser.add_argument(
-        "--scheme", default="opt-online+mem", choices=list(available_schemes()),
-        help="protection scheme (default: opt-online+mem)",
+        "--scheme", default="opt-online+mem", type=_scheme_name,
+        help="protection scheme in flag grammar, e.g. opt-online+mem+numpy "
+             "(default: opt-online+mem)",
     )
     parser.add_argument(
         "--backend", default=None, choices=list(available_backends()),
@@ -194,13 +206,6 @@ def _add_signal_options(parser: argparse.ArgumentParser) -> None:
         help="real-input transform: real float64 signal in, packed n//2+1 "
              "spectrum (numpy.fft.rfft layout) out, via the compiled "
              "half-complex path",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, metavar="T",
-        help="shared-memory parallelism: run fault-free batches chunk-"
-             "parallel on T worker threads with per-chunk checksum "
-             "verification (0 = automatic from REPRO_THREADS/cores; "
-             "default: serial)",
     )
     parser.add_argument(
         "--inplace", action="store_true",
@@ -235,7 +240,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
         "online+mem": "online ABFT with the Fig. 2 memory protection hierarchy",
         "opt-online+mem": "the paper's FT-FFTW scheme (Fig. 3, all optimizations)",
     }
-    for name in available_schemes():
+    for name in legacy_scheme_names():
         table.add_row(name, descriptions.get(name, ""))
     print(table.render())
     print()
@@ -334,71 +339,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     _print_report(result, reference)
     err = float(np.max(np.abs(result.output - reference)) / np.max(np.abs(reference)))
     return 0 if err < args.tolerance else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Serial vs threaded wall-clock for one size (interleaved best-of-N)."""
-
-    import time
-
-    from repro.fftlib.planner import plan_fft
-    from repro.runtime import default_thread_count, pool_info, resolve_thread_count
-
-    n = args.size
-    threads = resolve_thread_count(args.threads if args.threads is not None else 0)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 20170712)
-    x = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
-    X = np.tile(x, (args.batch, 1)) if args.batch > 1 else None
-
-    serial_plan = plan_fft(n, backend="fftlib")
-    threaded_plan = plan_fft(n, backend="fftlib", threads=threads)
-    # The planner falls back to the serial lowering when threading cannot
-    # win (tiny or prime sizes); label the row so a ~1.00x reads as "not
-    # attempted", not "no benefit".
-    threaded_label = f"threaded x{threads}"
-    if threaded_plan.threads <= 1:
-        threaded_label += " (serial fallback)"
-    candidates = {
-        "serial compiled": lambda: serial_plan.execute(x),
-        threaded_label: lambda: threaded_plan.execute(x),
-    }
-    if getattr(args, "native", False):
-        from repro.fftlib.native import native_supported
-
-        native_plan = plan_fft(n, backend="fftlib", native=True)
-        native_label = "native codelets"
-        if not native_supported():
-            native_label += " (pure fallback)"
-        candidates[native_label] = lambda: native_plan.execute(x)
-    if X is not None:
-        ft_serial = plan(n, FTConfig.from_name(args.scheme))
-        ft_threaded = plan(n, FTConfig.from_name(args.scheme, threads=threads))
-        candidates[f"protected batch ({args.scheme})"] = lambda: ft_serial.execute_many(X)
-        candidates[f"protected batch x{threads}"] = lambda: ft_threaded.execute_many(X)
-
-    times = {name: float("inf") for name in candidates}
-    for fn in candidates.values():
-        fn()  # warm-up: plans, programs, pool
-    for _ in range(max(1, args.repeats)):
-        for name, fn in candidates.items():
-            start = time.perf_counter()
-            fn()
-            times[name] = min(times[name], time.perf_counter() - start)
-
-    table = Table(
-        f"serial vs threaded (n={n}, {default_thread_count()} pool workers)",
-        ["path", "best [ms]", "speedup vs serial"],
-    )
-    base = times["serial compiled"]
-    for name, value in times.items():
-        table.add_row(name, f"{value * 1e3:.3f}", f"{base / value:.2f}x")
-    print(table.render())
-    info = pool_info()
-    print(
-        f"pool: {info.workers} workers, {info.submitted} tasks submitted, "
-        f"{info.inline} run inline"
-    )
-    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -599,32 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     inject.set_defaults(func=_cmd_inject)
 
-    bench = sub.add_parser(
-        "bench", help="time serial vs threaded execution of one transform size"
-    )
-    bench.add_argument("--size", "-n", type=int, default=2**18, help="transform length (default 2^18)")
-    bench.add_argument(
-        "--threads", type=int, default=None, metavar="T",
-        help="worker threads to compare against serial (default: automatic "
-             "from REPRO_THREADS/cores)",
-    )
-    bench.add_argument("--repeats", type=int, default=5, help="best-of repeats (default 5)")
-    bench.add_argument(
-        "--batch", type=int, default=8, metavar="N",
-        help="also time the protected batched path over N rows (default 8; "
-             "1 disables)",
-    )
-    bench.add_argument(
-        "--scheme", default="opt-online+mem", choices=list(available_schemes()),
-        help="protection scheme for the batched rows (default: opt-online+mem)",
-    )
-    bench.add_argument("--seed", type=int, default=None, help="seed for the synthetic input")
-    bench.add_argument(
-        "--native", action="store_true",
-        help="also time the generated-C native kernel tier for the size",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     profile = sub.add_parser(
         "profile", help="time one protected execution phase by phase"
     )
@@ -708,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--seed", type=int, default=None, help="seed for the synthetic input")
     submit.add_argument(
         "--scheme", default="opt-online+mem",
-        help="protection config in flag grammar, e.g. opt-online+mem+real+t2 "
+        help="protection config in flag grammar, e.g. opt-online+mem+real "
              "(default: opt-online+mem)",
     )
     submit.add_argument(

@@ -40,9 +40,6 @@ Layout
     The plan-centric public API: ``repro.plan`` (thread-safe LRU "wisdom"
     cache), :class:`FTPlan` with ``execute`` / ``inverse`` / batched
     ``execute_many``.
-``api``
-    Legacy ``FaultTolerantFFT`` facade and string registry, kept as
-    deprecation shims over the plan API.
 """
 
 from repro.core.base import FTScheme, OptimizationFlags, SchemeResult
@@ -76,7 +73,6 @@ from repro.core.ftplan import (
     plan_cache_info,
     set_plan_cache_limit,
 )
-from repro.core.api import FaultTolerantFFT, available_schemes, create_scheme, ft_fft
 
 __all__ = [
     "FTConfig",
@@ -114,8 +110,4 @@ __all__ = [
     "OfflineABFT",
     "OnlineABFT",
     "OptimizedOnlineABFT",
-    "FaultTolerantFFT",
-    "available_schemes",
-    "create_scheme",
-    "ft_fft",
 ]

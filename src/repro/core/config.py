@@ -1,10 +1,8 @@
 """Declarative scheme configuration: :class:`FTConfig`.
 
-The legacy entry points (``create_scheme("opt-online+mem", n, **kwargs)``)
-identified a protection scheme by a registry string and forwarded loose
-keyword arguments to whichever constructor the string mapped to.  ``FTConfig``
-replaces that with a single frozen, validated, *hashable* description of a
-protected transform:
+Protection schemes are named by registry strings (``"opt-online+mem"``).
+``FTConfig`` is the single frozen, validated, *hashable* description of a
+protected transform behind those names:
 
 * ``kind`` / ``optimized`` / ``memory_ft`` select the algorithm (the nine
   legacy registry names are exactly the reachable combinations),
@@ -18,8 +16,9 @@ protected transform:
 Because the dataclass is frozen and every field is hashable, ``(n, config)``
 is directly usable as a plan-cache key - which is what
 :func:`repro.core.ftplan.plan` does.  :meth:`FTConfig.from_name` /
-:meth:`FTConfig.to_name` convert to and from the legacy registry strings so
-existing call sites (and saved benchmark configurations) keep working.
+:meth:`FTConfig.to_name` convert to and from the registry strings, the one
+name grammar of the CLI, the serve protocol, and saved benchmark
+configurations.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ SCHEME_KINDS = ("plain", "offline", "online")
 _SUPPORTED_DTYPES = ("complex64", "complex128")
 
 #: Legacy registry name -> (kind, optimized, memory_ft), in the order the
-#: registry historically listed them (``available_schemes`` preserves it).
+#: registry historically listed them (``legacy_scheme_names`` preserves it).
 _NAME_TO_TRIPLE: Dict[str, Tuple[str, bool, bool]] = {
     "fftw": ("plain", False, False),
     "offline": ("offline", False, False),
@@ -119,17 +118,6 @@ class FTConfig:
         weights so detection/correction work directly on the packed layout.
         Legacy registry names carry the flag as a ``+real`` suffix
         (``"opt-online+mem+real"``).
-    threads:
-        Shared-memory parallelism (see :mod:`repro.runtime`).  ``None``
-        (default) is serial; ``0`` sizes automatically from
-        ``REPRO_THREADS`` / the core count; ``N`` uses N chunks.  Batched
-        fault-free executions (``FTPlan.execute_many``) run chunk-parallel
-        on the process-wide worker pool with per-chunk end-to-end checksum
-        verification (per-worker ABFT); single-vector executions keep the
-        scheme's serial interior machinery (threaded single transforms
-        live on the raw plan layer, ``plan_fft(n, threads=N)``).  Legacy
-        registry names carry the knob as a ``+t{N}`` suffix
-        (``"opt-online+mem+t4"``).
     inplace:
         In-place execution (the paper's Section 5 discipline): the plan
         lowers the Stockham autosort program where the size supports it,
@@ -138,7 +126,7 @@ class FTConfig:
         recovery runs from the checksum-carried surrogate (the locating
         pair re-encoded onto the output side) instead of re-executing.
         Legacy registry names carry the flag as a ``+ip`` suffix
-        (``"opt-online+mem+ip"``; composes as ``"...+real+ip+t4"``).
+        (``"opt-online+mem+ip"``; composes as ``"...+real+ip"``).
     native:
         Native kernel tier (see :mod:`repro.fftlib.native`): the plan's
         compiled stage programs dispatch their combine/base bodies to
@@ -148,7 +136,7 @@ class FTConfig:
         its pure-NumPy stage bodies (``FTPlan.describe()`` reports the
         fallback).  Legacy registry names carry the flag as a ``+native``
         suffix (``"opt-online+mem+native"``; composes as
-        ``"...+real+ip+t4+native"``).
+        ``"...+real+ip+native"``).
     """
 
     kind: str = "online"
@@ -161,7 +149,6 @@ class FTConfig:
     dtype: str = "complex128"
     backend: Optional[str] = None
     real: bool = False
-    threads: Optional[int] = None
     inplace: bool = False
     native: bool = False
 
@@ -194,13 +181,6 @@ class FTConfig:
         object.__setattr__(self, "real", bool(self.real))
         object.__setattr__(self, "inplace", bool(self.inplace))
         object.__setattr__(self, "native", bool(self.native))
-        if self.threads is not None:
-            if int(self.threads) != self.threads or self.threads < 0:
-                raise ValueError(
-                    f"threads must be a non-negative integer (0 = automatic) "
-                    f"or None, got {self.threads!r}"
-                )
-            object.__setattr__(self, "threads", int(self.threads))
 
     # ------------------------------------------------------------------
     # legacy-name conversions
@@ -211,15 +191,13 @@ class FTConfig:
 
         A ``+real`` suffix selects the packed real-input transform
         (``"opt-online+mem+real"``), a ``+ip`` suffix in-place execution
-        (``"opt-online+mem+ip"``), a ``+t{N}`` suffix the shared-memory
-        thread count (``"opt-online+mem+t4"``, ``+t0`` = automatic), a
-        ``+numpy`` / ``+fftlib`` suffix the sub-FFT backend
-        (``"opt-online+mem+numpy"`` runs the checksummed pipeline on
-        pocketfft), a ``+native`` suffix the generated-C kernel tier (they
-        compose as ``"...+real+ip+t4+numpy+native"``); ``overrides`` set
-        any other field (``m``, ``k``, ``thresholds``, ``flags``,
-        ``dtype``, ``backend``, ``real``, ``threads``, ``inplace``,
-        ``native``).
+        (``"opt-online+mem+ip"``), a ``+numpy`` / ``+fftlib`` suffix the
+        sub-FFT backend (``"opt-online+mem+numpy"`` runs the checksummed
+        pipeline on pocketfft), a ``+native`` suffix the generated-C kernel
+        tier (they compose as ``"...+real+ip+numpy+native"``);
+        ``overrides`` set any other field (``m``, ``k``, ``thresholds``,
+        ``flags``, ``dtype``, ``backend``, ``real``, ``inplace``,
+        ``native``).  An unknown name raises ``KeyError``.
         """
 
         base = name
@@ -233,15 +211,8 @@ class FTConfig:
                 if overrides.get("backend") is None:
                     overrides["backend"] = backend_flag
                 break
-        head, sep, tail = base.rpartition("+t")
-        if sep and tail.isdigit():
-            base = head
-            # An explicit override wins over the suffix, but the unset
-            # sentinels (threads=None, real=False) do not - callers routinely
-            # forward optional knobs verbatim (the CLI passes threads=None),
-            # and that must not silently strip a suffix the name carries.
-            if overrides.get("threads") is None:
-                overrides["threads"] = int(tail)
+        # A flag suffix wins over the unset sentinels (the CLI forwards
+        # real=False verbatim); only an explicit True override is redundant.
         if base.endswith("+ip"):
             base = base[: -len("+ip")]
             if not overrides.get("inplace"):
@@ -266,8 +237,6 @@ class FTConfig:
             name += "+real"
         if self.inplace:
             name += "+ip"
-        if self.threads is not None:
-            name += f"+t{self.threads}"
         # Only the stdlib-registered backends have name flags; a custom
         # registered backend stays a programmatic-only knob, like dtype.
         if self.backend in _BACKEND_FLAGS:
@@ -288,8 +257,9 @@ class FTConfig:
         """Instantiate the scheme this config describes for size ``n``.
 
         ``extra`` keyword arguments are forwarded to the scheme constructor
-        verbatim (after the config-derived ones), preserving the legacy
-        ``create_scheme(name, n, **kwargs)`` behaviour.
+        verbatim (after the config-derived ones), so
+        ``FTConfig.from_name(name).build(n, **kwargs)`` builds a scheme by
+        registry name.
         """
 
         kwargs: Dict[str, Any] = {
@@ -336,8 +306,6 @@ class FTConfig:
             parts.append("real=True")
         if self.inplace:
             parts.append("inplace=True")
-        if self.threads is not None:
-            parts.append(f"threads={self.threads}")
         if self.native:
             parts.append("native=True")
         if self.dtype != "complex128":

@@ -33,14 +33,7 @@ vectors and exposes three execution entry points:
     the locating checksum pair, then re-execution under the fully protected
     scheme).
 
-With ``FTConfig.threads`` above 1, fault-free batches additionally run
-*chunk-parallel* on the process-wide worker pool (:mod:`repro.runtime`):
-each worker transforms a contiguous slice of rows and verifies its own
-slice's end-to-end checksums before returning - per-worker ABFT, the
-shared-memory analogue of the paper's per-rank FFT2 protection - so a
-corrupted worker's chunk is located and recovered independently of the
-others.  The chunk layout depends only on ``(batch, threads)``, never on
-the pool, keeping threaded results deterministic.
+Every execution runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +58,6 @@ from repro.core.thresholds import ThresholdPolicy, residual_exceeds
 from repro.faults.injector import FaultInjector, NullInjector
 from repro.faults.models import FaultSite
 from repro.fftlib.backends import get_backend, resolve_backend_name
-from repro.runtime.pool import get_pool, resolve_thread_count, split_ranges
 from repro.telemetry import trace as _trace
 from repro.utils.validation import as_complex_vector, ensure_positive_int
 
@@ -141,9 +133,6 @@ class FTPlan:
         #: real-input mode: float64 input, packed n//2 + 1 output layout
         self._real = bool(config.real)
         self.bins = self.n // 2 + 1
-        #: shared-memory parallelism: chunk count of fault-free batched
-        #: executions (``None`` -> 1 = serial, ``0`` -> the pool's size)
-        self.threads = resolve_thread_count(config.threads)
         if self._protected:
             # Batched-protection state: end-to-end computational checksum
             # vector (c = rA) and, with memory FT, the locating pair
@@ -1007,13 +996,13 @@ class FTPlan:
 
         ``out`` selects the batched overwrite path: the spectra land in the
         given buffer, which for complex plans may be ``X`` itself - the
-        rows are then transformed chunk-parallel *in place* (Stockham
-        lowering, per-worker half-size scratch) and the input rows are
-        destroyed.  Protection follows the in-place discipline of
-        :meth:`execute`: a last-chance vectorized memory verification
-        repairs input corruption just before the overwrite, and flagged
-        output rows are repaired from the checksum-carried surrogate
-        (``rows @ (F w)`` encoded pre-transform) instead of re-executing.
+        rows are then transformed *in place* (Stockham lowering, half-size
+        scratch) and the input rows are destroyed.  Protection follows the
+        in-place discipline of :meth:`execute`: a last-chance vectorized
+        memory verification repairs input corruption just before the
+        overwrite, and flagged output rows are repaired from the
+        checksum-carried surrogate (``rows @ (F w)`` encoded pre-transform)
+        instead of re-executing.
         Real plans accept a separate preallocated packed-spectrum buffer.
         """
 
@@ -1064,38 +1053,12 @@ class FTPlan:
         report = FTReport(scheme=f"{self.scheme.name}[batch]")
         fallback: List[int] = []
         dead: List[int] = []
-
-        # Chunk layout of the (possibly) parallel execution: a function of
-        # (batch, threads) only, so threaded runs are deterministic.  One
-        # chunk keeps the legacy fully-serial path (direct binding of the
-        # transform result, whole-batch GEMV verification) bit for bit.
-        chunks = min(self.threads, batch) if self.threads > 1 else 1
-        ranges = split_ranges(batch, chunks)
         width = self.bins if self._real else self.n
-        visit_lock = threading.Lock()
-
-        def _visit_output(segment: np.ndarray, chunk_index: int) -> None:
-            # The OUTPUT fault site, per worker chunk - the shared-memory
-            # analogue of the paper's per-rank sites.  Specs can pin a
-            # worker with ``index=``; the default fire-once spec strikes
-            # exactly one chunk.
-            if injector.is_live:
-                with visit_lock:
-                    injector.visit(FaultSite.OUTPUT, segment, index=chunk_index)
 
         if not self._protected:
             injector.visit(FaultSite.INPUT, rows)
-            if chunks == 1:
-                out = self._transform_rows(rows)
-                injector.visit(FaultSite.OUTPUT, out)
-            else:
-                out = np.empty((batch, width), dtype=np.complex128)
-
-                def transform_chunk(ci: int, lo: int, hi: int) -> None:
-                    out[lo:hi] = self._transform_rows(rows[lo:hi])
-                    _visit_output(out[lo:hi], ci)
-
-                self._run_chunks(transform_chunk, ranges)
+            out = self._transform_rows(rows)
+            injector.visit(FaultSite.OUTPUT, out)
         else:
             # --- vectorized encoding (one matmul per checksum vector; the
             # robust per-row statistics are sampled once and shared by every
@@ -1117,47 +1080,20 @@ class FTPlan:
             # fault model excludes corruption during checksum generation).
             injector.visit(FaultSite.INPUT, rows)
 
-            # --- transform + verification (whole-batch when serial, ------
-            # per-worker chunks when threaded; real plans: packed output,
-            # conjugate-even reduction).  The memory verification of the
-            # input rows against their stored locating checksums catches
+            # --- whole-batch transform + verification (real plans: packed
+            # output, conjugate-even reduction).  The memory verification of
+            # the input rows against their stored locating checksums catches
             # input corruption even at the 3 | n sizes where the end-to-end
             # vector rA is nearly degenerate and the computational residual
             # is blind.
-            if chunks == 1:
-                out = self._transform_rows(rows)
-                injector.visit(FaultSite.OUTPUT, out)
-                residuals = np.abs(self._output_checksum(out) - cx)
-                comp_violations = residual_exceeds(residuals, etas)
-                violations = comp_violations
-                if self.config.memory_ft:
-                    mem_residuals = np.abs(rows @ self._w1 - s1)
-                    violations = violations | residual_exceeds(mem_residuals, eta_mem)
-            else:
-                out = np.empty((batch, width), dtype=np.complex128)
-                residuals = np.empty(batch, dtype=np.float64)
-                comp_violations = np.zeros(batch, dtype=bool)
-                violations = np.zeros(batch, dtype=bool)
-
-                def verify_chunk(ci: int, lo: int, hi: int) -> None:
-                    # Per-worker ABFT: each worker transforms its own slice
-                    # of rows, exposes the OUTPUT site, and verifies its
-                    # slice's end-to-end checksums before returning - a
-                    # corrupted worker's chunk is located independently of
-                    # the others.
-                    out[lo:hi] = self._transform_rows(rows[lo:hi])
-                    _visit_output(out[lo:hi], ci)
-                    residuals[lo:hi] = np.abs(
-                        self._output_checksum(out[lo:hi]) - cx[lo:hi]
-                    )
-                    viol = residual_exceeds(residuals[lo:hi], etas[lo:hi])
-                    comp_violations[lo:hi] = viol
-                    if self.config.memory_ft:
-                        mem_residuals = np.abs(rows[lo:hi] @ self._w1 - s1[lo:hi])
-                        viol = viol | residual_exceeds(mem_residuals, eta_mem[lo:hi])
-                    violations[lo:hi] = viol
-
-                self._run_chunks(verify_chunk, ranges)
+            out = self._transform_rows(rows)
+            injector.visit(FaultSite.OUTPUT, out)
+            residuals = np.abs(self._output_checksum(out) - cx)
+            comp_violations = residual_exceeds(residuals, etas)
+            violations = comp_violations
+            if self.config.memory_ft:
+                mem_residuals = np.abs(rows @ self._w1 - s1)
+                violations = violations | residual_exceeds(mem_residuals, eta_mem)
             report.bump("verifications", batch)
             if self.config.memory_ft:
                 report.bump("memory-verifications", batch)
@@ -1226,23 +1162,10 @@ class FTPlan:
         fallback: List[int] = []
         dead: List[int] = []
 
-        chunks = min(self.threads, batch) if self.threads > 1 else 1
-        ranges = split_ranges(batch, chunks)
-        visit_lock = threading.Lock()
-
-        def _visit_output(segment: np.ndarray, chunk_index: int) -> None:
-            if injector.is_live:
-                with visit_lock:
-                    injector.visit(FaultSite.OUTPUT, segment, index=chunk_index)
-
         if not self._protected:
             injector.visit(FaultSite.INPUT, rows)
-
-            def transform_chunk(ci: int, lo: int, hi: int) -> None:
-                self._transform_inplace(rows[lo:hi])
-                _visit_output(rows[lo:hi], ci)
-
-            self._run_chunks(transform_chunk, ranges)
+            self._transform_inplace(rows)
+            injector.visit(FaultSite.OUTPUT, rows)
         else:
             consts = self._inplace_constants()
             # --- encode while the input rows still exist (batch statistics
@@ -1289,17 +1212,11 @@ class FTPlan:
                         )
                 report.bump("memory-verifications", batch)
 
-            # --- chunked in-place transform + per-worker verification -----
-            residuals = np.empty(batch, dtype=np.float64)
-            violations = np.zeros(batch, dtype=bool)
-
-            def verify_chunk(ci: int, lo: int, hi: int) -> None:
-                self._transform_inplace(rows[lo:hi])
-                _visit_output(rows[lo:hi], ci)
-                residuals[lo:hi] = np.abs(rows[lo:hi] @ self._r - cx[lo:hi])
-                violations[lo:hi] = residual_exceeds(residuals[lo:hi], etas[lo:hi])
-
-            self._run_chunks(verify_chunk, ranges)
+            # --- in-place transform + whole-batch verification ------------
+            self._transform_inplace(rows)
+            injector.visit(FaultSite.OUTPUT, rows)
+            residuals = np.abs(rows @ self._r - cx)
+            violations = residual_exceeds(residuals, etas)
             report.bump("verifications", batch)
 
             # --- surrogate recovery for flagged rows ----------------------
@@ -1346,29 +1263,6 @@ class FTPlan:
             report=report,
             fallback_rows=tuple(fallback),
             uncorrectable_rows=tuple(sorted(set(dead))),
-        )
-
-    # ------------------------------------------------------------------
-    def _run_chunks(
-        self, fn: Callable[[int, int, int], None], ranges: Sequence[Tuple[int, int]]
-    ) -> None:
-        """Run ``fn(chunk_index, lo, hi)`` over every chunk, pooled when > 1.
-
-        Single-chunk runs execute inline on the calling thread (the legacy
-        serial path); multi-chunk runs go through the process-wide worker
-        pool, which itself falls back to inline execution when it has one
-        worker or is re-entered from a worker thread.
-        """
-
-        if len(ranges) <= 1:
-            for ci, (lo, hi) in enumerate(ranges):
-                fn(ci, lo, hi)
-            return
-        get_pool().run_tasks(
-            [
-                (lambda ci=ci, lo=lo, hi=hi: fn(ci, lo, hi))
-                for ci, (lo, hi) in enumerate(ranges)
-            ]
         )
 
     # ------------------------------------------------------------------

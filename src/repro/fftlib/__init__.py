@@ -29,7 +29,7 @@ structure:
     Chirp-z transform for large prime sizes.
 ``plan`` / ``planner``
     Plan objects with precomputed twiddle factors and a small planner that
-    picks a strategy per size (mirroring FFTW's estimate mode).
+    picks a lowering per size (mirroring FFTW's estimate/measure modes).
 ``two_layer``
     The explicit highest-level ``N = m * k`` decomposition with stage-level
     entry points (per-sub-FFT execution, twiddle stage) used by the ABFT

@@ -53,12 +53,6 @@ class FFTBackend(abc.ABC):
     name: str = "base"
     #: one-line human description for listings
     description: str = ""
-    #: whether plans on this backend may lower to the shared-memory threaded
-    #: six-step program (see :mod:`repro.runtime`).  Only the internal
-    #: engine exposes the chunked stage structure the threaded program
-    #: needs; compiled third-party kernels (pocketfft etc.) manage their own
-    #: parallelism, so the planner keeps their plans serial.
-    supports_threads: bool = False
     #: whether plans on this backend may lower to the in-place Stockham
     #: program (see :class:`repro.fftlib.executor.StockhamStageProgram`).
     #: Foreign kernels allocate their own output arrays, so only the
@@ -128,7 +122,6 @@ class FFTLibBackend(FFTBackend):
 
     name = "fftlib"
     description = "internal compiled stage-program engine (codelets, mixed-radix, Bluestein)"
-    supports_threads = True
     supports_inplace = True
     supports_native = True
 

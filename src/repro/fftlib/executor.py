@@ -1063,8 +1063,7 @@ _DEFAULT_PROGRAM_CACHE_LIMIT = 128
 
 _cache_lock = threading.RLock()
 #: keyed by ``n`` (complex programs), ``("real", n)`` (real programs),
-#: ``("stockham", n)`` (in-place Stockham programs),
-#: ``("sixstep", n, threads, inplace)`` (threaded six-step programs), or
+#: ``("stockham", n)`` (in-place Stockham programs), or
 #: ``("protected", n, optimized, memory_ft)`` (fused protected programs,
 #: see :mod:`repro.fftlib.protected`).  Native-tier lowerings are distinct
 #: entries under ``("native", <key>)`` so a native request never mutates

@@ -16,8 +16,8 @@ exposes the capability gate the rest of the stack (and the reprolint
   :class:`NativeProgram`: the stage descriptors (radices, spans, counts,
   twiddle-table and butterfly-matrix pointers) marshalled once into ctypes
   arrays, so each transform afterwards is a *single* foreign call - and
-  ctypes drops the GIL for the call's duration, which is what makes the
-  threaded six-step and chunk-parallel ``execute_many`` actually concurrent.
+  ctypes drops the GIL for the call's duration, so the serve daemon's
+  worker threads run native transforms concurrently.
 * :func:`native_info` - ``cache_info()``-style counters: compiles, disk
   hits, failures, programs built, fallbacks, and the current status/reason.
 

@@ -20,7 +20,7 @@ from repro.fftlib.backends import get_backend, resolve_backend_name
 from repro.fftlib.codelets import codelet_flop_count, has_codelet
 from repro.utils.validation import ensure_positive_int
 
-__all__ = ["PlanDirection", "PlanStrategy", "Plan"]
+__all__ = ["PlanDirection", "Plan"]
 
 
 class PlanDirection(enum.Enum):
@@ -28,15 +28,6 @@ class PlanDirection(enum.Enum):
 
     FORWARD = "forward"
     BACKWARD = "backward"
-
-
-class PlanStrategy(enum.Enum):
-    """How a plan executes its transform."""
-
-    CODELET = "codelet"
-    DIRECT = "direct"
-    MIXED_RADIX = "mixed-radix"
-    BLUESTEIN = "bluestein"
 
 
 def estimate_flops(n: int) -> float:
@@ -61,10 +52,10 @@ def estimate_flops(n: int) -> float:
 def _native_program_state(program: object) -> tuple:
     """``(active, reason)`` of the native lowering beneath ``program``.
 
-    Walks the wrapper chain (real -> half complex, Stockham -> half complex,
-    threaded -> row/serial sub-program) down to the
-    :class:`~repro.fftlib.executor.StageProgram` that carries the native
-    kernel handle, so ``describe()`` can report what actually executes.
+    Walks the wrapper chain (real -> half complex, Stockham -> half
+    complex) down to the :class:`~repro.fftlib.executor.StageProgram` that
+    carries the native kernel handle, so ``describe()`` can report what
+    actually executes.
     """
 
     for _ in range(4):  # Real -> Stockham -> StageProgram is the deepest chain
@@ -74,11 +65,7 @@ def _native_program_state(program: object) -> tuple:
             if getattr(program, "native", None) is not None:
                 return True, None
             return False, getattr(program, "native_fallback_reason", None)
-        program = (
-            getattr(program, "program", None)
-            or getattr(program, "serial", None)
-            or getattr(program, "row_program", None)
-        )
+        program = getattr(program, "program", None)
     return False, None
 
 
@@ -93,10 +80,6 @@ class Plan:
     direction:
         Forward (negative exponent) or backward (positive exponent,
         normalised by ``1/n``).
-    strategy:
-        Execution strategy; chosen by :class:`repro.fftlib.planner.Planner`
-        when not given explicitly.  Only meaningful for the ``fftlib``
-        backend; other backends apply their own kernel wholesale.
     backend:
         Registry name of the sub-FFT kernel (see
         :mod:`repro.fftlib.backends`).  ``None`` resolves to the process-wide
@@ -107,13 +90,6 @@ class Plan:
         the packed spectrum back to ``n`` real samples.  Lowered to a
         :class:`~repro.fftlib.executor.RealStageProgram` on the ``fftlib``
         backend (roughly half the flops/bytes of the complex plan).
-    threads:
-        Worker count of the shared-memory six-step lowering
-        (:class:`~repro.runtime.threaded.ThreadedSixStepProgram`).  ``1``
-        (the default) keeps the serial compiled program; values above 1 run
-        the transform's phases as chunked batches on the process-wide
-        worker pool.  Only the ``fftlib`` backend lowers threaded programs
-        (complex plans); elsewhere the knob is inert.
     inplace:
         In-place execution (the paper's Section 5 discipline): the plan
         lowers to the Stockham autosort program
@@ -139,15 +115,13 @@ class Plan:
 
     n: int
     direction: PlanDirection = PlanDirection.FORWARD
-    strategy: PlanStrategy = PlanStrategy.MIXED_RADIX
     flops: float = field(default=0.0, compare=False)
     backend: Optional[str] = None
     real: bool = False
-    threads: int = 1
     inplace: bool = False
     native: bool = False
     #: ``"kind-fallback(reason)"`` notes for capability requests the planner
-    #: could not honour (threads/inplace/native collapsed by measurement or
+    #: could not honour (inplace/native collapsed by measurement or
     #: unsupported sizes); surfaced verbatim by :meth:`describe` and mirrored
     #: as ``fallback`` telemetry events at plan-creation time.
     fallbacks: tuple = field(default=(), compare=False, repr=False)
@@ -157,10 +131,6 @@ class Plan:
 
     def __post_init__(self) -> None:
         ensure_positive_int(self.n, name="n")
-        if self.threads is None or int(self.threads) < 1:
-            object.__setattr__(self, "threads", 1)
-        else:
-            object.__setattr__(self, "threads", int(self.threads))
         object.__setattr__(self, "inplace", bool(self.inplace))
         object.__setattr__(self, "native", bool(self.native))
         if self.flops == 0.0:
@@ -182,12 +152,6 @@ class Plan:
 
             if self.real:
                 lowered = get_real_program(self.n, native=self.native)
-            elif self.threads > 1:
-                from repro.runtime.threaded import get_threaded_program
-
-                lowered = get_threaded_program(
-                    self.n, self.threads, inplace=self.inplace, native=self.native
-                )
             elif self.inplace and stockham_supported(self.n):
                 lowered = get_stockham_program(self.n, native=self.native)
             else:
@@ -259,8 +223,7 @@ class Plan:
         last axis has length ``n`` (real plans change the output length and
         therefore have no in-place form).  Plans lowered to the Stockham
         autosort program run with a single half-size scratch; any other
-        lowering (unsupported sizes, foreign backends, threaded six-step
-        programs without in-place support) preserves the overwrite
+        lowering (unsupported sizes, foreign backends) preserves the overwrite
         *semantics* by transforming out of place and copying back, so the
         caller can rely on the buffer holding the result either way.
         """
@@ -316,8 +279,8 @@ class Plan:
             PlanDirection.BACKWARD if self.is_forward else PlanDirection.FORWARD
         )
         return Plan(
-            self.n, direction, self.strategy, self.flops, self.backend, self.real,
-            self.threads, self.inplace, self.native, self.fallbacks,
+            self.n, direction, self.flops, self.backend, self.real,
+            self.inplace, self.native, self.fallbacks,
         )
 
     def profile(self, x: np.ndarray) -> object:
@@ -360,15 +323,6 @@ class Plan:
         factors = "x".join(str(f) for f in factorization.radix_schedule(self.n))
         backend = self.backend or "fftlib"
         kind = "real, " if self.real else ""
-        threaded = f", threads={self.threads}" if self.threads > 1 else ""
-        if self.threads > 1 and getattr(self.program, "serial", None) is not None:
-            # A threaded plan whose program lowered to the serial fallback
-            # (size/profitability collapse inside the program itself).
-            reason = (
-                getattr(self.program, "fallback_reason", None)
-                or "not profitable for this size"
-            )
-            threaded = f", threads-fallback({reason})"
         inplace = ", inplace" if self.inplace else ""
         native = ""
         if self.native:
@@ -383,11 +337,8 @@ class Plan:
                         else f"backend {backend} has no native lowering"
                     )
                 native = f", native-fallback({reason})"
-        notes = "".join(
-            f", {note}" for note in self.fallbacks if note not in (threaded, native)
-        )
+        notes = "".join(f", {note}" for note in self.fallbacks if note != native)
         return (
-            f"Plan(n={self.n}, {kind}dir={self.direction.value}, "
-            f"strategy={self.strategy.value}, backend={backend}{threaded}"
+            f"Plan(n={self.n}, {kind}dir={self.direction.value}, backend={backend}"
             f"{inplace}{native}{notes}, radices={factors}, ~{self.flops:.0f} flops)"
         )

@@ -1,11 +1,12 @@
-"""The planner: strategy selection and plan caching ("wisdom").
+"""The planner: lowering selection and plan caching ("wisdom").
 
 FFTW's planner searches the space of decompositions and remembers the best
 ("wisdom").  The reproduction keeps the same interface at a much smaller
-scale: the planner picks one of the execution strategies from
-:class:`repro.fftlib.plan.PlanStrategy` per size, optionally by measuring, and
-caches the resulting :class:`~repro.fftlib.plan.Plan` objects so repeated
-requests (e.g. thousands of sub-FFT plans inside a fault campaign) are free.
+scale: the planner decides which capability requests (in-place Stockham,
+native kernels, fused protection) a size lowers to, optionally by measuring,
+and caches the resulting :class:`~repro.fftlib.plan.Plan` objects so
+repeated requests (e.g. thousands of sub-FFT plans inside a fault campaign)
+are free.
 
 Planning for the internal engine also *lowers* the size into a compiled
 iterative stage program (see :mod:`repro.fftlib.executor`): the radix
@@ -25,10 +26,8 @@ from typing import Any, Callable, Dict, Optional, Tuple, cast
 
 import numpy as np
 
-from repro.fftlib import factorization
 from repro.fftlib.backends import get_backend, resolve_backend_name
-from repro.fftlib.codelets import has_codelet
-from repro.fftlib.plan import Plan, PlanDirection, PlanStrategy
+from repro.fftlib.plan import Plan, PlanDirection
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
@@ -36,33 +35,15 @@ __all__ = ["PlannerPolicy", "Planner", "plan_fft", "get_default_planner"]
 
 
 class PlannerPolicy(enum.Enum):
-    """How much effort the planner spends choosing a strategy.
+    """How much effort the planner spends choosing a lowering.
 
-    ``ESTIMATE`` mirrors ``FFTW_ESTIMATE``: choose by a cost heuristic only.
-    ``MEASURE`` mirrors ``FFTW_MEASURE``: time the candidate strategies on a
+    ``ESTIMATE`` mirrors ``FFTW_ESTIMATE``: honour every supported request.
+    ``MEASURE`` mirrors ``FFTW_MEASURE``: time the candidate lowerings on a
     random input of the requested size and keep the fastest.
     """
 
     ESTIMATE = "estimate"
     MEASURE = "measure"
-
-
-def _heuristic_strategy(n: int) -> PlanStrategy:
-    if has_codelet(n):
-        return PlanStrategy.CODELET
-    if factorization.is_prime(n):
-        return PlanStrategy.DIRECT if n <= 61 else PlanStrategy.BLUESTEIN
-    return PlanStrategy.MIXED_RADIX
-
-
-def _strategy_is_valid(strategy: PlanStrategy, n: int) -> bool:
-    """Whether a (possibly imported) strategy is correct/sane for size ``n``."""
-
-    if strategy is PlanStrategy.CODELET:
-        return has_codelet(n)
-    if strategy is PlanStrategy.DIRECT:
-        return n <= 2048
-    return True
 
 
 @dataclass
@@ -75,20 +56,16 @@ class Planner:
         Planning effort (estimate vs. measure).
     wisdom:
         Cache of previously created plans keyed by
-        ``(n, direction, backend, real, threads, inplace, native)``.
+        ``(n, direction, backend, real, inplace, native)``.
     """
 
     policy: PlannerPolicy = PlannerPolicy.ESTIMATE
-    wisdom: Dict[Tuple[int, PlanDirection, str, bool, int, bool, bool], Plan] = field(
+    wisdom: Dict[Tuple[int, PlanDirection, str, bool, bool, bool], Plan] = field(
         default_factory=dict
     )
-    measurements: Dict[int, Dict[str, float]] = field(default_factory=dict)
-    #: serial-vs-threaded timings per ``"n:t{threads}"`` request (MEASURE
-    #: mode); ride along in exported wisdom so an imported planner reuses
-    #: the recorded winner without re-timing.
-    thread_measurements: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: ping-pong vs in-place Stockham timings per ``"n"`` (MEASURE mode);
-    #: same export/import discipline as the thread timings.
+    #: they ride along in exported wisdom so an imported planner reuses the
+    #: recorded winner without re-timing.
     inplace_measurements: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: fused-protected-program vs legacy-scheme timings per ``"n"`` (MEASURE
     #: mode, see :meth:`fused_wins`); same export/import discipline.
@@ -97,8 +74,8 @@ class Planner:
     #: mode, see :meth:`_native_wins`); same export/import discipline.
     native_measurements: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: guards every wisdom/measurement mutation: the default planner is
-    #: process-wide shared state hit concurrently by threaded fault
-    #: campaigns, so unlocked writes here were a latent stampede/lost-update
+    #: process-wide shared state hit concurrently by the serve daemon's
+    #: workers, so unlocked writes here were a latent stampede/lost-update
     #: bug of exactly the class reprolint's lock-discipline rule flags.
     #: Reads stay unlocked (CPython dict reads are atomic; a stale miss just
     #: re-plans and the locked insert keeps the first winner).
@@ -112,7 +89,6 @@ class Planner:
         direction: PlanDirection = PlanDirection.FORWARD,
         backend: Optional[str] = None,
         real: bool = False,
-        threads: Optional[int] = None,
         inplace: bool = False,
         native: bool = False,
     ) -> Plan:
@@ -122,16 +98,12 @@ class Planner:
         :mod:`repro.fftlib.backends`); plans are cached per backend so a
         process can mix kernels freely.  ``real`` requests the packed
         real-input transform (``n`` real samples <-> ``n//2 + 1`` bins).
-        ``threads`` requests the shared-memory six-step lowering (``None`` =
-        serial, ``0`` = automatic/pool size, ``N`` = N chunks); the planner
-        lowers to the threaded program only when profitable - by heuristic
-        in ESTIMATE mode, by timing serial vs threaded (and recording the
-        winner in wisdom) in MEASURE mode.  ``inplace`` requests the
-        in-place Stockham lowering (caller's buffer plus one half-size
-        scratch; :meth:`Plan.execute_inplace`); ESTIMATE honours the
-        request whenever the size supports it - the caller asking for
-        in-place execution *is* the memory-pressure signal - while MEASURE
-        times ping-pong vs Stockham once and records the winner in wisdom.
+        ``inplace`` requests the in-place Stockham lowering (caller's
+        buffer plus one half-size scratch; :meth:`Plan.execute_inplace`);
+        ESTIMATE honours the request whenever the size supports it - the
+        caller asking for in-place execution *is* the memory-pressure
+        signal - while MEASURE times ping-pong vs Stockham once and records
+        the winner in wisdom.
         ``native`` requests the generated-C kernel tier
         (:mod:`repro.fftlib.native`); ESTIMATE honours the request whenever
         the tier is available, MEASURE times native vs pure-NumPy stage
@@ -142,18 +114,12 @@ class Planner:
 
         backend_name = resolve_backend_name(backend)
         real = bool(real)
-        nthreads, threads_note = self._normalize_threads(backend_name, real, threads)
         requested_inplace, inplace_note = self._normalize_inplace(
             backend_name, real, inplace
         )
         requested_native, native_note = self._normalize_native(backend_name, native)
-        request_notes = [
-            note for note in (threads_note, inplace_note, native_note) if note
-        ]
-        key = (
-            int(n), direction, backend_name, real, nthreads, requested_inplace,
-            requested_native,
-        )
+        request_notes = [note for note in (inplace_note, native_note) if note]
+        key = (int(n), direction, backend_name, real, requested_inplace, requested_native)
         cached = self.wisdom.get(key)
         if cached is not None:
             # Request-level collapses (real/backend capability) alias onto
@@ -162,23 +128,9 @@ class Planner:
                 self._record_fallbacks(int(n), request_notes)
             return cached
 
-        if (
-            self.policy is PlannerPolicy.MEASURE
-            and n >= 32
-            and backend_name == "fftlib"
-            and not real
-        ):
-            strategy = self._best_measured_strategy(int(n))
-        else:
-            strategy = _heuristic_strategy(int(n))
-        effective = self._effective_threads(int(n), nthreads)
         lowered_inplace = self._effective_inplace(int(n), requested_inplace)
         lowered_native = self._effective_native(int(n), requested_native)
         notes = list(request_notes)
-        if nthreads > 1 and effective == 1:
-            notes.append(
-                f"threads-fallback({self._threads_collapse_reason(int(n), nthreads)})"
-            )
         if requested_inplace and not lowered_inplace:
             notes.append(
                 f"inplace-fallback({self._inplace_collapse_reason(int(n))})"
@@ -190,8 +142,8 @@ class Planner:
         if notes:
             self._record_fallbacks(int(n), notes)
         plan = Plan(
-            int(n), direction, strategy, 0.0, backend_name, real, effective,
-            lowered_inplace, lowered_native, tuple(notes),
+            int(n), direction, 0.0, backend_name, real, lowered_inplace,
+            lowered_native, tuple(notes),
         )
         # two racing planners build equivalent plans; setdefault keeps the
         # first one so every caller shares a single Plan object per key
@@ -228,18 +180,6 @@ class Planner:
             )
 
     @staticmethod
-    def _threads_collapse_reason(n: int, nthreads: int) -> str:
-        """Why a supported threads request lowered to the serial program."""
-
-        from repro.runtime.threaded import MIN_THREADED_SIZE, threading_profitable
-
-        if n < MIN_THREADED_SIZE:
-            return "size below threaded threshold"
-        if not threading_profitable(n, nthreads):
-            return "no balanced split for this factorization"
-        return "measured slower than serial"
-
-    @staticmethod
     def _inplace_collapse_reason(n: int) -> str:
         """Why a supported inplace request kept the ping-pong program."""
 
@@ -250,31 +190,6 @@ class Planner:
         return "measured slower than ping-pong"
 
     # ------------------------------------------------------------------
-    def _normalize_threads(
-        self, backend_name: str, real: bool, threads: Optional[int]
-    ) -> Tuple[int, Optional[str]]:
-        """Resolve the requested ``threads`` knob to a concrete chunk count.
-
-        Real plans and backends without :attr:`~repro.fftlib.backends.
-        FFTBackend.supports_threads` stay serial (real transforms thread at
-        the batch level inside :class:`~repro.core.ftplan.FTPlan` instead).
-        Returns ``(count, note)`` where ``note`` is the
-        ``threads-fallback(...)`` wording when the request was collapsed.
-        """
-
-        from repro.runtime.pool import resolve_thread_count
-
-        nthreads = resolve_thread_count(threads)
-        if nthreads <= 1:
-            return 1, None
-        if real:
-            return 1, "threads-fallback(real plans thread at the batch level)"
-        if not getattr(get_backend(backend_name), "supports_threads", False):
-            return 1, (
-                f"threads-fallback(backend '{backend_name}' has no threaded lowering)"
-            )
-        return nthreads, None
-
     def _normalize_inplace(
         self, backend_name: str, real: bool, inplace: bool
     ) -> Tuple[bool, Optional[str]]:
@@ -282,8 +197,9 @@ class Planner:
 
         Only the ``fftlib`` backend lowers Stockham programs, and real
         plans change their output length (no in-place form); everywhere
-        else the knob is inert, mirroring ``threads``.  Returns
-        ``(flag, note)`` like :meth:`_normalize_threads`.
+        else the knob is inert.  Returns ``(flag, note)`` where ``note`` is
+        the ``inplace-fallback(...)`` wording when the request was
+        collapsed.
         """
 
         if not inplace:
@@ -304,8 +220,8 @@ class Planner:
         Only backends advertising
         :attr:`~repro.fftlib.backends.FFTBackend.supports_native` lower the
         generated-C stage bodies (foreign kernels are already compiled
-        code); everywhere else the knob is inert, mirroring ``threads`` and
-        ``inplace``.  Returns ``(flag, note)`` like the other knobs.
+        code); everywhere else the knob is inert, mirroring ``inplace``.
+        Returns ``(flag, note)`` like :meth:`_normalize_inplace`.
         """
 
         if not native:
@@ -466,7 +382,7 @@ class Planner:
         execution against one legacy scheme execution (callables supplied by
         the caller - the protected plan lives above this layer) and records
         the winner under ``fused_measurements[str(n)]``, exported with the
-        wisdom like the thread/in-place timings, so a seeded planner never
+        wisdom like the in-place timings, so a seeded planner never
         re-times a size.
         """
 
@@ -491,145 +407,11 @@ class Planner:
             self._record_race("fused-vs-scheme", n, "fused", "scheme", timings)
         return timings["fused"] < timings["scheme"]
 
-    def _effective_threads(self, n: int, nthreads: int, *, allow_timing: bool = True) -> int:
-        """Chunk count the plan is actually lowered with (the "winner").
-
-        ``allow_timing=False`` (wisdom import) never runs live benchmarks:
-        recorded serial-vs-threaded timings decide when present, otherwise
-        the profitability heuristic stands in - importing a wisdom dict
-        must stay a deserialization, not a measurement session.
-        """
-
-        if nthreads <= 1:
-            return 1
-        from repro.runtime.threaded import threading_profitable
-
-        if not threading_profitable(n, nthreads):
-            return 1
-        if self.policy is PlannerPolicy.MEASURE:
-            timings = self.thread_measurements.get(f"{n}:t{nthreads}")
-            if timings and "serial" in timings and "threaded" in timings:
-                return nthreads if timings["threaded"] < timings["serial"] else 1
-            if not allow_timing:
-                return nthreads
-            return nthreads if self._threaded_wins(n, nthreads) else 1
-        return nthreads
-
-    def _threaded_wins(self, n: int, nthreads: int) -> bool:
-        """MEASURE mode: time serial vs threaded once, remember the winner.
-
-        Timings (imported ones included) live in :attr:`thread_measurements`
-        under ``"n:t{threads}"``, so a planner seeded with another process's
-        wisdom never re-times a size/thread-count pair.
-        """
-
-        key = f"{n}:t{nthreads}"
-        timings = self.thread_measurements.get(key)
-        if not timings or "serial" not in timings or "threaded" not in timings:
-            from repro.fftlib.executor import get_program
-            from repro.runtime.threaded import get_threaded_program, threading_profitable
-
-            if not threading_profitable(n, nthreads):
-                # unprofitable sizes lower to the serial fallback; timing
-                # that against itself would just record noise as wisdom
-                return False
-            serial = get_program(n)
-            threaded = get_threaded_program(n, nthreads)
-            rng = np.random.default_rng(4321 + n)
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            timings: Dict[str, float] = {}
-            for label, fn in (
-                ("serial", lambda: serial.execute(x)),
-                ("threaded", lambda: threaded.execute(x)),
-            ):
-                fn()  # warm-up / twiddle-cache + pool fill
-                best = float("inf")
-                for _ in range(3):
-                    start = time.perf_counter()
-                    fn()
-                    best = min(best, time.perf_counter() - start)
-                timings[label] = best
-            with self._lock:
-                self.thread_measurements[key] = timings
-            self._record_race("threaded-vs-serial", n, "threaded", "serial", timings)
-        return timings["threaded"] < timings["serial"]
-
-    # ------------------------------------------------------------------
-    def _best_measured_strategy(self, n: int) -> PlanStrategy:
-        """Best strategy for ``n`` from stored timings, measuring if absent.
-
-        Timings imported through :meth:`import_wisdom` count, so a MEASURE
-        planner seeded with another process's wisdom never re-times a size.
-        """
-
-        timings = self.measurements.get(n)
-        if timings:
-            best = min(timings, key=lambda name: timings[name])
-            try:
-                strategy = PlanStrategy(best)
-            except ValueError:
-                strategy = None
-            if strategy is not None and _strategy_is_valid(strategy, n):
-                return strategy
-        return self._measure_strategy(n)
-
-    # ------------------------------------------------------------------
-    def _measure_strategy(self, n: int) -> PlanStrategy:
-        """Time the available strategies on a random input; keep the fastest.
-
-        Only strategies that are *correct* for the size are candidates; the
-        heuristic strategy is always among them so measurement can only
-        improve on the estimate.
-        """
-
-        from repro.fftlib.bluestein import bluestein_fft
-        from repro.fftlib.mixed_radix import fft as mixed_fft
-        from repro.fftlib.dft import direct_dft
-
-        rng = np.random.default_rng(1234 + n)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-        candidates = {}
-        candidates[PlanStrategy.MIXED_RADIX] = lambda: mixed_fft(x)
-        if n <= 2048:
-            candidates[PlanStrategy.DIRECT] = lambda: direct_dft(x)
-        candidates[PlanStrategy.BLUESTEIN] = lambda: bluestein_fft(x)
-        if has_codelet(n):
-            candidates[PlanStrategy.CODELET] = lambda: mixed_fft(x)
-
-        timings: Dict[str, float] = {}
-        best_strategy = _heuristic_strategy(n)
-        best_time = float("inf")
-        for strategy, fn in candidates.items():
-            fn()  # warm-up / twiddle-cache fill
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
-            timings[strategy.value] = elapsed
-            if elapsed < best_time:
-                best_time = elapsed
-                best_strategy = strategy
-        with self._lock:
-            self.measurements[n] = timings
-        _metrics.inc(
-            "wisdom_measure_races", race="strategy", winner=best_strategy.value
-        )
-        if _trace.active:
-            _trace.emit(
-                "measure-race",
-                race="strategy",
-                n=int(n),
-                winner=best_strategy.value,
-                timings={name: float(t) for name, t in timings.items()},
-            )
-        return best_strategy
-
     # ------------------------------------------------------------------
     def lower(
         self,
         n: int,
         real: bool = False,
-        threads: Optional[int] = None,
         inplace: bool = False,
         native: bool = False,
     ) -> Any:
@@ -637,15 +419,12 @@ class Planner:
 
         ``real=True`` lowers the packed real-input transform
         (:class:`~repro.fftlib.executor.RealStageProgram`) instead;
-        ``threads`` above 1 lowers the shared-memory six-step program
-        (:class:`~repro.runtime.threaded.ThreadedSixStepProgram`);
         ``inplace=True`` lowers the in-place Stockham program
         (:class:`~repro.fftlib.executor.StockhamStageProgram`) when the
-        size supports one - an explicit in-place request, a large size
-        under memory pressure, and the threaded stage bodies all arrive
-        here.  Lowering is memoized process-wide (programs are immutable
-        and backend-independent), so this is cheap after the first call
-        per size; plans created by :meth:`plan` reference the same objects.
+        size supports one.  Lowering is memoized process-wide (programs are
+        immutable and backend-independent), so this is cheap after the
+        first call per size; plans created by :meth:`plan` reference the
+        same objects.
         """
 
         from repro.fftlib.executor import (
@@ -654,18 +433,10 @@ class Planner:
             get_stockham_program,
             stockham_supported,
         )
-        from repro.runtime.pool import resolve_thread_count
 
         native = bool(native)
         if real:
             return get_real_program(int(n), native=native)
-        nthreads = resolve_thread_count(threads)
-        if nthreads > 1:
-            from repro.runtime.threaded import get_threaded_program
-
-            return get_threaded_program(
-                int(n), nthreads, inplace=bool(inplace), native=native
-            )
         if inplace and stockham_supported(int(n)):
             return get_stockham_program(int(n), native=native)
         return get_program(int(n), native=native)
@@ -676,50 +447,34 @@ class Planner:
 
         with self._lock:
             self.wisdom.clear()
-            self.measurements.clear()
-            self.thread_measurements.clear()
             self.inplace_measurements.clear()
             self.fused_measurements.clear()
             self.native_measurements.clear()
 
     def export_wisdom(self) -> Dict[str, object]:
-        """Serialise wisdom as ``{"n:direction:backend[:real][:tN][:ip][:nat]": strategy}``.
+        """Serialise wisdom as ``{"n:direction:backend[:real][:ip][:nat]": description}``.
 
-        Measured strategy timings, the compiled program descriptions, the
-        serial-vs-threaded timings, the ping-pong-vs-Stockham timings, the
-        fused-vs-scheme timings, and the native-vs-NumPy timings ride along
-        under the reserved ``"__measurements__"`` / ``"__programs__"`` /
-        ``"__thread_measurements__"`` / ``"__inplace_measurements__"`` /
+        Each value describes what the key lowers to (the compiled program,
+        or the plan itself on foreign backends); :meth:`import_wisdom`
+        re-derives the lowering and ignores it.  The ping-pong-vs-Stockham,
+        fused-vs-scheme, and native-vs-NumPy timings ride along under the
+        reserved ``"__inplace_measurements__"`` /
         ``"__fused_measurements__"`` / ``"__native_measurements__"`` keys,
         so a MEASURE planner seeded from this dict never re-times a size it
         has already seen - the whole mapping stays JSON-serialisable.
         """
 
         data: Dict[str, object] = {}
-        programs: Dict[str, str] = {}
-        for (
-            n, direction, backend, real, threads, inplace, native,
-        ), plan in self.wisdom.items():
+        for (n, direction, backend, real, inplace, native), plan in self.wisdom.items():
             key = f"{n}:{direction.value}:{backend}"
             if real:
                 key += ":real"
-            if threads > 1:
-                key += f":t{threads}"
             if inplace:
                 key += ":ip"
             if native:
                 key += ":nat"
-            data[key] = plan.strategy.value
-            if plan.program is not None:
-                programs[key] = plan.program.describe()
-        if self.measurements:
-            data["__measurements__"] = {
-                str(n): dict(timings) for n, timings in self.measurements.items()
-            }
-        if self.thread_measurements:
-            data["__thread_measurements__"] = {
-                key: dict(timings) for key, timings in self.thread_measurements.items()
-            }
+            program = plan.program
+            data[key] = program.describe() if program is not None else plan.describe()
         if self.inplace_measurements:
             data["__inplace_measurements__"] = {
                 key: dict(timings) for key, timings in self.inplace_measurements.items()
@@ -732,32 +487,24 @@ class Planner:
             data["__native_measurements__"] = {
                 key: dict(timings) for key, timings in self.native_measurements.items()
             }
-        if programs:
-            data["__programs__"] = programs
         return data
 
     def import_wisdom(self, data: Dict[str, object]) -> None:
         """Re-create plans from :meth:`export_wisdom` output.
 
-        Older formats are still accepted: the pre-backend two-field keys
-        (``"n:direction"``) map to the default backend, three-field keys to
-        ``real=False`` / serial, and dicts without the reserved
-        timing/program entries simply import no measurements.  Importing
-        re-lowers the stage programs (thread timings first, so a threaded
-        key re-lowers to the recorded winner), leaving the compiled-program
-        cache warm as well.
+        Per-key values are ignored, and so are key parts and reserved keys
+        this planner does not know.  Older formats therefore still import:
+        the pre-backend two-field keys (``"n:direction"``) map to the
+        default backend, three-field keys to ``real=False``, and snapshots
+        that carry thread-count key parts (``":t2"``), strategy names, or
+        ``"__measurements__"`` / ``"__thread_measurements__"`` /
+        ``"__programs__"`` entries import as ordinary serial plans.
+        Importing re-lowers the stage programs, leaving the
+        compiled-program cache warm as well.
         """
 
         timing_dicts = cast(Dict[str, Dict[str, Dict[str, float]]], data)
         with self._lock:
-            for n_key, timings in dict(timing_dicts.get("__measurements__", {})).items():
-                self.measurements[int(n_key)] = {
-                    str(name): float(t) for name, t in dict(timings).items()
-                }
-            for key, timings in dict(timing_dicts.get("__thread_measurements__", {})).items():
-                self.thread_measurements[str(key)] = {
-                    str(name): float(t) for name, t in dict(timings).items()
-                }
             for key, timings in dict(timing_dicts.get("__inplace_measurements__", {})).items():
                 self.inplace_measurements[str(key)] = {
                     str(name): float(t) for name, t in dict(timings).items()
@@ -770,7 +517,7 @@ class Planner:
                 self.native_measurements[str(key)] = {
                     str(name): float(t) for name, t in dict(timings).items()
                 }
-        for key, strategy_name in data.items():
+        for key in data:
             if key.startswith("__"):
                 continue
             parts = key.split(":")
@@ -781,27 +528,18 @@ class Planner:
             real = "real" in extras
             inplace = "ip" in extras
             native = "nat" in extras
-            threads = 1
-            for part in extras:
-                if len(part) > 1 and part[0] == "t" and part[1:].isdigit():
-                    threads = int(part[1:])
-            strategy = PlanStrategy(cast(str, strategy_name))
             # plan lowering happens outside the lock (it may take the
             # executor's own program-cache lock); only the insert is guarded
             imported = Plan(
                 n,
                 direction,
-                strategy,
                 backend=backend,
                 real=real,
-                threads=self._effective_threads(n, threads, allow_timing=False),
                 inplace=self._effective_inplace(n, inplace, allow_timing=False),
                 native=self._effective_native(n, native, allow_timing=False),
             )
             with self._lock:
-                self.wisdom[
-                    (n, direction, backend, real, threads, inplace, native)
-                ] = imported
+                self.wisdom[(n, direction, backend, real, inplace, native)] = imported
 
 
 _DEFAULT_PLANNER = Planner()
@@ -818,10 +556,9 @@ def plan_fft(
     direction: PlanDirection = PlanDirection.FORWARD,
     backend: Optional[str] = None,
     real: bool = False,
-    threads: Optional[int] = None,
     inplace: bool = False,
     native: bool = False,
 ) -> Plan:
     """Convenience wrapper around the default planner."""
 
-    return _DEFAULT_PLANNER.plan(n, direction, backend, real, threads, inplace, native)
+    return _DEFAULT_PLANNER.plan(n, direction, backend, real, inplace, native)

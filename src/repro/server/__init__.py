@@ -3,10 +3,10 @@
 ``repro serve`` runs :class:`TransformServer`: an asyncio HTTP/1.1 daemon
 (localhost TCP and/or a unix socket, stdlib only) that groups concurrent
 same-``(n, config)`` transform requests inside a short micro-batch window
-and executes each group through one chunk-parallel
-:meth:`repro.core.ftplan.FTPlan.execute_many` call - the amortized
-threshold statistics and per-worker ABFT verification of the batched
-library path, turned into sustained multi-client throughput.  See
+and executes each group through one
+:meth:`repro.core.ftplan.FTPlan.execute_many` call on the daemon's executor
+- the amortized threshold statistics and vectorized ABFT verification of
+the batched library path, turned into sustained multi-client throughput.  See
 ``docs/serving.md`` for the operator's guide and
 :mod:`repro.server.protocol` for the wire format.
 """

@@ -7,7 +7,7 @@ window joins one group, and the group executes as a single
 :meth:`repro.core.ftplan.FTPlan.execute_many` call on a worker thread.
 That is the whole point of serving through the plan cache: the batched
 path samples the robust threshold statistics once per batch, runs one
-matmul per checksum vector, and verifies per worker chunk - overheads
+matmul per checksum vector, and verifies every row in one pass - overheads
 that a one-request-per-``execute`` front end pays per request.
 
 ``window=0`` (the default) is *connection-aware opportunistic* batching:

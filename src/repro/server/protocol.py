@@ -4,7 +4,7 @@ One transform request is a *frame*: a single JSON head line terminated by
 ``\\n``, followed immediately by the raw little-endian payload bytes.  The
 head names the transform length ``n``, the protection config (the legacy
 scheme-name grammar of :meth:`repro.core.config.FTConfig.from_name`, e.g.
-``"opt-online+mem+real+t2"``), and optionally a fault-injection spec.  The
+``"opt-online+mem+real+numpy"``), and optionally a fault-injection spec.  The
 payload is the input row: ``n`` float64 samples for real configs, ``n``
 complex128 samples otherwise - exactly the bytes of the numpy array, no
 base64, no per-element framing.
@@ -79,9 +79,9 @@ class ProtocolError(Exception):
 def canonical_config(name: str) -> Tuple[str, bool]:
     """Canonical scheme name and real-input flag for a request config string.
 
-    Round-tripping through :class:`FTConfig` canonicalizes flag order (so
-    ``"opt-online+mem+t2+real"`` and ``"opt-online+mem+real+t2"`` land in
-    the same batch group) and validates the name in one step.  Cached: the
+    Round-tripping through :class:`FTConfig` canonicalizes the name (so
+    ``"opt-online+mem+fftlib"`` and ``"opt-online+mem"`` land in the same
+    batch group) and validates it in one step.  Cached: the
     server sees the same handful of config strings millions of times.
     """
 

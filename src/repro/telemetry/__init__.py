@@ -7,10 +7,10 @@ package gives those outcomes one home with three pillars:
 **Metrics registry** (:func:`registry`, :func:`snapshot`,
 :func:`render_prometheus`): named monotone counters (per-site/per-scheme
 ABFT activity, native fallbacks by reason, capability fallbacks, wisdom
-MEASURE race outcomes) merged with every existing ``cache_info()`` /
-``pool_info()`` surface, exportable as a plain dict, JSON, or Prometheus
-text.  Counters are per-thread sharded and merged on read, so
-chunk-parallel workers never contend.
+MEASURE race outcomes) merged with every existing ``cache_info()``
+surface, exportable as a plain dict, JSON, or Prometheus text.  Counters
+are per-thread sharded and merged on read, so concurrent workers never
+contend.
 
 **Event trace** (:func:`enable_trace`, :func:`events`): a bounded ring of
 typed event records (plan/program/native compiles, threshold violations,

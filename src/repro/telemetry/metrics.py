@@ -1,18 +1,18 @@
 """The metrics registry: sharded counters, gauges, and cache-surface collectors.
 
 One process-wide :class:`Registry` aggregates everything the library already
-counts - the plan LRU, the program LRU, the twiddle cache, the worker pool,
-the native kernel cache - plus the ABFT activity counters fed by
-:class:`repro.core.detection.FTReport` and the planner/runtime fallback
-counters, and renders the merged view as a plain dict, JSON, or Prometheus
-text exposition format.
+counts - the plan LRU, the program LRU, the twiddle cache, the native
+kernel cache - plus the ABFT activity counters fed by
+:class:`repro.core.detection.FTReport` and the planner fallback counters,
+and renders the merged view as a plain dict, JSON, or Prometheus text
+exposition format.
 
 Concurrency design
 ------------------
 Counters are **per-thread sharded**: each thread increments its own plain
 dict (registered once under the registry lock, then touched lock-free), and
-readers merge all shards on demand.  Chunk-parallel ``execute_many`` workers
-therefore never contend on a counter, and an increment costs one dict
+readers merge all shards on demand.  Concurrent executor threads therefore
+never contend on a counter, and an increment costs one dict
 operation.  Merging tolerates concurrent increments by retrying the shard
 snapshot; counts are monotone, so a retried snapshot is always consistent.
 
@@ -301,7 +301,7 @@ def reset() -> None:
 
 
 # ----------------------------------------------------------------------
-# default collectors: every existing cache_info()/pool_info() surface.
+# default collectors: every existing cache_info() surface.
 # Imports happen at *collection* time so observing a subsystem never
 # imports it (and never creates an import cycle).
 # ----------------------------------------------------------------------
@@ -324,12 +324,6 @@ def _collect_twiddle_cache() -> Mapping[str, Any]:
     return get_global_cache().cache_info()._asdict()
 
 
-def _collect_pool() -> Mapping[str, Any]:
-    from repro.runtime import pool_info
-
-    return pool_info()._asdict()
-
-
 def _collect_native() -> Mapping[str, Any]:
     from repro.fftlib.native import native_info
 
@@ -339,5 +333,4 @@ def _collect_native() -> Mapping[str, Any]:
 register_collector("plan_cache", _collect_plan_cache)
 register_collector("program_cache", _collect_program_cache)
 register_collector("twiddle_cache", _collect_twiddle_cache)
-register_collector("pool", _collect_pool)
 register_collector("native", _collect_native)

@@ -9,7 +9,7 @@ detected/corrected).
 import numpy as np
 import pytest
 
-from repro.core import create_scheme
+from repro.core.config import FTConfig
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.core.optimized import OptimizedOnlineABFT
@@ -56,7 +56,7 @@ class TestComputationalFaults:
     @pytest.mark.parametrize("site", [FaultSite.STAGE1_COMPUTE, FaultSite.STAGE2_COMPUTE])
     def test_detected_and_corrected(self, scheme, site, x, reference):
         injector = FaultInjector().arm_computational(site, index=2, magnitude=7.5)
-        result = create_scheme(scheme, N).execute(x, injector)
+        result = FTConfig.from_name(scheme).build(N).execute(x, injector)
         assert injector.fired_count == 1
         assert result.detected
         assert relative_error(reference, result.output) < 1e-9
@@ -105,7 +105,7 @@ class TestMemoryFaults:
     )
     def test_online_memory_ft_corrects(self, scheme, site, x, reference):
         injector = FaultInjector().arm_memory(site, magnitude=3.0)
-        result = create_scheme(scheme, N).execute(x, injector)
+        result = FTConfig.from_name(scheme).build(N).execute(x, injector)
         assert injector.fired_count == 1
         assert relative_error(reference, result.output) < 1e-9
         assert not result.report.has_uncorrectable

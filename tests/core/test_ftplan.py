@@ -1,5 +1,6 @@
 """Tests for the plan-centric API: FTConfig, repro.plan, FTPlan, batching."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -18,6 +19,16 @@ from repro.core.base import OptimizationFlags
 from repro.core.thresholds import ThresholdPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
+
+ALL_NAMES = list(legacy_scheme_names())
+PROTECTED_NAMES = [name for name in ALL_NAMES if name != "fftw"]
+MEMORY_FT_NAMES = [name for name in PROTECTED_NAMES if name.endswith("+mem")]
+COMP_ONLY_NAMES = [name for name in PROTECTED_NAMES if not name.endswith("+mem")]
+
+
+def _complex_batch(batch, n, seed=11):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
 
 
 @pytest.fixture(autouse=True)
@@ -74,11 +85,39 @@ class TestFTConfig:
         assert (scheme.m, scheme.k) == (64, 8)
         assert scheme.plan.backend == "numpy"
 
+    def test_legacy_scheme_names_cover_the_registry(self):
+        assert {"fftw", "offline", "opt-offline", "online", "opt-online",
+                "offline+mem", "opt-offline+mem", "online+mem",
+                "opt-online+mem"} <= set(legacy_scheme_names())
+
+    def test_build_forwards_constructor_kwargs(self):
+        scheme = FTConfig.from_name("opt-online+mem").build(512, m=64, k=8)
+        assert (scheme.m, scheme.k) == (64, 8)
+
+    def test_thresholds_and_flags_execute(self, random_complex, spectra_close):
+        config = FTConfig(thresholds=ThresholdPolicy(), flags=OptimizationFlags(group_size=8))
+        x = random_complex(256)
+        spectra_close(plan(256, config).execute(x).output, np.fft.fft(x))
+
     def test_build_every_kind_executes(self, random_complex, spectra_close):
         x = random_complex(128)
         for name in legacy_scheme_names():
             scheme = FTConfig.from_name(name).build(128)
             spectra_close(scheme.execute(x).output, np.fft.fft(x))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["opt-online+mem+t4", "opt-online+mem+real+t2", "fftw+t0", "opt-online+mem+ip+t2"],
+    )
+    def test_thread_count_suffix_is_an_unknown_name(self, name):
+        # Names written with a thread-count suffix get the outcome of any
+        # other unknown name rather than silently planning something else.
+        with pytest.raises(KeyError, match="unknown scheme"):
+            FTConfig.from_name(name)
+
+    def test_config_and_plan_carry_no_thread_count(self):
+        assert "threads" not in {field.name for field in dataclasses.fields(FTConfig)}
+        assert not hasattr(plan(64), "threads")
 
 
 class TestPlanCache:
@@ -183,6 +222,78 @@ class TestFTPlanExecution:
         spectra_close(p.execute(x).output, np.fft.fft(x))
         assert plan_cache_info().size == 0
 
+    def test_default_plan_reports_the_papers_scheme(self, random_complex, spectra_close):
+        x = random_complex(256)
+        result = repro.plan(256).execute(x)
+        spectra_close(result.output, np.fft.fft(x))
+        assert result.scheme == "opt-online+mem"
+
+    def test_named_scheme_detects_an_injected_fault(self, random_complex, spectra_close):
+        x = random_complex(256)
+        injector = FaultInjector().arm_computational(FaultSite.STAGE1_COMPUTE, magnitude=5.0)
+        result = plan(256, "opt-online").execute(x, injector)
+        spectra_close(result.output, np.fft.fft(x))
+        assert result.detected
+
+    def test_inverse_matches_numpy(self, random_complex, spectra_close):
+        x = random_complex(1024)
+        spectra_close(plan(1024).inverse(np.fft.fft(x)).output, x, rtol_scale=1e-8)
+
+    def test_round_trip_at_a_non_power_of_two(self, random_complex, spectra_close):
+        p = plan(400)
+        x = random_complex(400)
+        spectra_close(p.inverse(p.execute(x).output).output, x, rtol_scale=1e-8)
+
+    def test_plan_is_reusable_across_inputs(self, random_complex, spectra_close):
+        p = plan(128)
+        for _ in range(4):
+            x = random_complex(128)
+            spectra_close(p.execute(x).output, np.fft.fft(x))
+
+    def test_explicit_factors_reach_the_scheme(self):
+        p = plan(512, m=64, k=8)
+        assert (p.m, p.k) == (64, 8)
+        assert (p.scheme.m, p.scheme.k) == (64, 8)
+
+    def test_describe_names_the_scheme(self):
+        assert "opt-online+mem" in plan(64).describe()
+
+
+class TestEveryScheme:
+    """Each legacy scheme name plans, transforms and batches correctly."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_execute_and_inverse_round_trip(self, name, random_complex, spectra_close):
+        p = plan(384, name)
+        x = random_complex(384)
+        forward = p.execute(x)
+        spectra_close(forward.output, np.fft.fft(x))
+        spectra_close(p.inverse(forward.output).output, x, rtol_scale=1e-8)
+        assert not forward.detected
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_execute_many_matches_numpy_and_looped_execute(self, name, spectra_close):
+        n, batch = 1024, 10
+        X = _complex_batch(batch, n)
+        p = plan(n, name)
+        result = p.execute_many(X)
+        spectra_close(result.output, np.fft.fft(X, axis=-1))
+        spectra_close(result.output, np.stack([p.execute(row).output for row in X]))
+        assert not result.detected
+        assert result.fallback_rows == ()
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_out_buffer_holds_the_same_spectra(self, name):
+        n = 1024
+        X = _complex_batch(5, n, seed=12)
+        p = plan(n, name)
+        fresh = p.execute_many(X)
+        buffer = np.empty_like(X)
+        written = p.execute_many(X, out=buffer)
+        assert written.output is buffer
+        assert np.array_equal(buffer, fresh.output)
+        assert written.fallback_rows == ()
+
 
 class TestExecuteMany:
     def test_batch_matches_per_row_fft(self, rng, spectra_close):
@@ -274,29 +385,181 @@ class TestExecuteMany:
         spectra_close(p.execute_many(X).output, np.fft.fft(X, axis=-1))
 
 
-class TestDeprecatedShims:
-    def test_create_scheme_warns_but_works(self, random_complex, spectra_close):
-        with pytest.deprecated_call():
-            scheme = repro.create_scheme("opt-online+mem", 128)
-        x = random_complex(128)
-        spectra_close(scheme.execute(x).output, np.fft.fft(x))
+class TestBatchFaultRecovery:
+    """One fault in a batch is located to its row and repaired there."""
 
-    def test_ft_fft_warns_and_uses_cache(self, random_complex):
-        x = random_complex(256)
-        with pytest.deprecated_call():
-            repro.ft_fft(x)
-        misses = plan_cache_info().misses
-        with pytest.deprecated_call():
-            repro.ft_fft(x)
-        assert plan_cache_info().misses == misses  # second call hit the cache
+    @pytest.mark.parametrize("name", PROTECTED_NAMES)
+    def test_output_fault_is_located_to_its_row_and_corrected(self, name):
+        n, row = 1024, 5
+        X = _complex_batch(8, n, seed=13)
+        injector = FaultInjector().arm_memory(
+            site=FaultSite.OUTPUT, element=row * n + 17, magnitude=300.0
+        )
+        result = plan(n, name).execute_many(X, injector=injector)
+        assert injector.fired_count == 1
+        assert result.detected and not result.uncorrectable
+        assert result.fallback_rows == (row,)
+        assert np.allclose(result.output, np.fft.fft(X, axis=-1))
 
-    def test_fault_tolerant_fft_warns_and_wraps_plan(self, random_complex, spectra_close):
-        with pytest.deprecated_call():
-            ft = repro.FaultTolerantFFT(256)
-        # the facade wraps an FTPlan but owns a private (uncached) one, so
-        # legacy attribute mutation cannot contaminate the shared cache
-        assert isinstance(ft.plan, FTPlan)
-        assert ft.plan is not plan(256)
-        assert ft.scheme is not plan(256).scheme
-        x = random_complex(256)
-        spectra_close(ft.forward(x).output, np.fft.fft(x))
+    def test_unpinned_output_fault_strikes_exactly_once(self):
+        n = 1024
+        X = _complex_batch(8, n, seed=14)
+        injector = FaultInjector().arm_memory(site=FaultSite.OUTPUT, magnitude=300.0)
+        result = plan(n).execute_many(X, injector=injector)
+        assert injector.fired_count == 1
+        assert len(result.fallback_rows) == 1
+        assert not result.uncorrectable
+        assert np.allclose(result.output, np.fft.fft(X, axis=-1))
+
+    @pytest.mark.parametrize("name", MEMORY_FT_NAMES)
+    def test_input_fault_is_repaired(self, name):
+        n, row = 1024, 2
+        X = _complex_batch(8, n, seed=15)
+        injector = FaultInjector().arm_memory(
+            site=FaultSite.INPUT, element=row * n + 5, magnitude=200.0
+        )
+        result = plan(n, name).execute_many(X, injector=injector)
+        assert injector.fired_count == 1
+        assert result.fallback_rows == (row,)
+        assert not result.uncorrectable
+        assert np.allclose(result.output, np.fft.fft(X, axis=-1))
+
+    @pytest.mark.parametrize("name", COMP_ONLY_NAMES)
+    def test_input_fault_without_memory_ft_is_reported_not_hidden(self, name):
+        # Without locating checksums the corrupted input is transformed
+        # faithfully; the end-to-end check must still flag the row rather
+        # than return a silently wrong spectrum.
+        n, row = 1024, 2
+        X = _complex_batch(8, n, seed=15)
+        injector = FaultInjector().arm_memory(
+            site=FaultSite.INPUT, element=row * n + 5, magnitude=200.0
+        )
+        result = plan(n, name).execute_many(X, injector=injector)
+        assert injector.fired_count == 1
+        assert result.detected
+        assert result.uncorrectable_rows == (row,)
+
+    def test_real_output_fault_in_one_row_recovered(self):
+        n, row = 1024, 1
+        X = np.random.default_rng(16).standard_normal((8, n))
+        p = plan(n, real=True)
+        injector = FaultInjector().arm_memory(
+            site=FaultSite.OUTPUT, element=row * p.bins + 40, magnitude=250.0
+        )
+        result = p.execute_many(X, injector=injector)
+        assert injector.fired_count == 1
+        assert result.fallback_rows == (row,)
+        assert not result.uncorrectable
+        assert np.allclose(result.output, np.fft.rfft(X, axis=-1))
+
+    def test_repeated_batches_are_bitwise_identical(self):
+        n = 1024
+        X = _complex_batch(6, n, seed=5)
+        p = plan(n)
+        first = p.execute_many(X).output
+        for _ in range(3):
+            assert np.array_equal(first, p.execute_many(X).output)
+
+
+@dataclasses.dataclass
+class _ThreadRecorder(FaultInjector):
+    """An unarmed live injector that notes which threads visit fault sites."""
+
+    visitors: set = dataclasses.field(default_factory=set)
+
+    def visit(self, site, array, *, index=None, rank=None):
+        self.visitors.add(threading.get_ident())
+        return super().visit(site, array, index=index, rank=rank)
+
+
+class TestRunsOnTheCallersThread:
+    """The library has no worker pool: every call runs where it is made."""
+
+    @pytest.mark.parametrize(
+        "call", ["execute", "inverse", "execute_many", "execute_many_out", "real_execute_many"]
+    )
+    def test_fault_sites_are_visited_on_the_calling_thread(self, call):
+        n = 4096
+        X = _complex_batch(4, n, seed=3)
+        recorder = _ThreadRecorder()
+        p = plan(n, real=call.startswith("real"))
+        if call == "execute":
+            result = p.execute(X[0], recorder)
+        elif call == "inverse":
+            result = p.inverse(X[0], recorder)
+        elif call == "execute_many":
+            result = p.execute_many(X, injector=recorder)
+        elif call == "execute_many_out":
+            result = p.execute_many(X, injector=recorder, out=np.empty_like(X))
+        else:
+            result = p.execute_many(X.real, injector=recorder)
+        assert not result.detected
+        assert recorder.visitors == {threading.get_ident()}
+
+
+class TestConcurrentPlanning:
+    def test_many_threads_same_key_get_one_plan(self):
+        clear_plan_cache()
+        results = []
+        barrier = threading.Barrier(8, timeout=30)
+
+        def fetch():
+            barrier.wait()
+            results.append(repro.plan(1536, "opt-offline"))
+
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(results) == 8
+        assert all(p is results[0] for p in results)
+        info = plan_cache_info()
+        assert info.misses == 1
+
+    def test_concurrent_distinct_sizes(self):
+        clear_plan_cache()
+        sizes = [512, 768, 1024, 1280, 1536, 2048]
+        plans = {}
+        lock = threading.Lock()
+
+        def fetch(n):
+            p = repro.plan(n, "opt-online+mem")
+            with lock:
+                plans.setdefault(n, []).append(p)
+
+        threads = [
+            threading.Thread(target=fetch, args=(n,)) for n in sizes for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for n in sizes:
+            assert len(plans[n]) == 3
+            assert all(p is plans[n][0] for p in plans[n])
+            x = np.random.default_rng(n).standard_normal(n) + 0j
+            assert np.allclose(plans[n][0].execute(x).output, np.fft.fft(x))
+
+    def test_concurrent_executions_share_one_plan(self):
+        shared = plan(1024)
+        X = np.random.default_rng(31).standard_normal((6, 1024)) + 0j
+        ref = np.fft.fft(X, axis=-1)
+        errors = []
+
+        def work():
+            try:
+                out = shared.execute_many(X)
+                assert np.allclose(out.output, ref)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work) for _ in range(6)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.core.config import FTConfig
+from repro.core.ftplan import FTPlan
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultKind, FaultSite, FaultSpec
 
@@ -175,3 +176,115 @@ class TestRealFaultRecovery:
         assert injector.fired_count == 1
         assert np.allclose(result.output, np.fft.rfft(x), atol=1e-8)
         assert result.report.corrected
+
+
+class TestInteriorRealVerification:
+    class _CorruptingProgram:
+        """Wraps the cached RealStageProgram, corrupting the half-length
+        sub-transform result a fixed number of times."""
+
+        def __init__(self, inner, strikes=1, magnitude=80.0):
+            self._inner = inner
+            self.remaining = strikes
+            self.magnitude = magnitude
+
+        @property
+        def half(self):
+            return self._inner.half
+
+        def pack(self, x):
+            return self._inner.pack(x)
+
+        def transform_half(self, z):
+            out = self._inner.transform_half(z)
+            if self.remaining:
+                self.remaining -= 1
+                out = out.copy()
+                out[5] += self.magnitude
+            return out
+
+        def disentangle(self, spectrum):
+            return self._inner.disentangle(spectrum)
+
+        def execute(self, x):
+            return self._inner.execute(x)
+
+        def execute_inverse(self, spectrum):
+            return self._inner.execute_inverse(spectrum)
+
+    def test_fault_free_run_records_interior_check(self):
+        ftp = FTPlan(2048, FTConfig(real=True))
+        xr = np.random.default_rng(21).standard_normal(2048)
+        result = ftp.execute(xr)
+        sites = [v.site for v in result.report.verifications]
+        assert "real-interior-ccv" in sites
+        assert not result.detected
+        assert np.allclose(result.output, np.fft.rfft(xr))
+
+    def test_interior_fault_caught_before_disentangle(self):
+        ftp = FTPlan(2048, FTConfig(real=True))
+        ftp._real_program = self._CorruptingProgram(ftp._real_program, strikes=1)
+        xr = np.random.default_rng(22).standard_normal(2048)
+        result = ftp.execute(xr)
+        interior = [
+            v for v in result.report.verifications if v.site == "real-interior-ccv"
+        ]
+        assert any(v.detected for v in interior)
+        assert not result.uncorrectable
+        assert np.allclose(result.output, np.fft.rfft(xr))
+        # the recovery happened mid-pipeline: a restart correction is logged
+        assert any(
+            c.site == "real-interior" for c in result.report.corrections
+        )
+
+    def test_persistent_interior_fault_reported_uncorrectable(self):
+        ftp = FTPlan(2048, FTConfig(real=True))
+        ftp._real_program = self._CorruptingProgram(ftp._real_program, strikes=99)
+        xr = np.random.default_rng(23).standard_normal(2048)
+        result = ftp.execute(xr)
+        assert result.uncorrectable
+
+    def test_input_memory_corruption_still_repaired_with_interior_check(self):
+        # Regression: corrupted input trips the interior check (z aliases
+        # xr), so the interior branch must route through the locating-pair
+        # repair instead of restarting from the same corrupted data.
+        ftp = FTPlan(1024, FTConfig.from_name("opt-online+mem+real"))
+        xr = np.random.default_rng(25).standard_normal(1024)
+        reference = np.fft.rfft(xr)
+
+        inner = ftp._real_program
+        corrupted = {"done": False}
+
+        class CorruptPack:
+            """Corrupts xr (through the packed view) after encoding, once."""
+
+            half = inner.half
+
+            def pack(self, x):
+                z = inner.pack(x)
+                if not corrupted["done"]:
+                    corrupted["done"] = True
+                    z[9] += 50.0  # writes through to xr: a memory fault
+                return z
+
+            def transform_half(self, z):
+                return inner.transform_half(z)
+
+            def disentangle(self, spectrum):
+                return inner.disentangle(spectrum)
+
+            def execute(self, x):
+                return inner.execute(x)
+
+        ftp._real_program = CorruptPack()
+        result = ftp.execute(xr)
+        assert not result.uncorrectable
+        assert result.report.memory_correction_count >= 1
+        assert np.allclose(result.output, reference)
+
+    def test_odd_size_has_no_interior_pair_but_works(self):
+        ftp = FTPlan(2187, FTConfig(real=True))  # odd: no half-length packing
+        assert ftp.constants.c_h is None
+        xr = np.random.default_rng(24).standard_normal(2187)
+        result = ftp.execute(xr)
+        assert np.allclose(result.output, np.fft.rfft(xr))

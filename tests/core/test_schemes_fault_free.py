@@ -8,13 +8,14 @@ alarms on clean runs (the ~100% throughput requirement of Section 8), and
 import numpy as np
 import pytest
 
-from repro.core import OptimizationFlags, available_schemes, create_scheme
+from repro.core import OptimizationFlags
+from repro.core.config import FTConfig, legacy_scheme_names
 from repro.core.offline import OfflineABFT
 from repro.core.online import OnlineABFT
 from repro.core.optimized import OptimizedOnlineABFT
 from repro.core.plain import PlainFFT
 
-ALL_SCHEMES = list(available_schemes())
+ALL_SCHEMES = list(legacy_scheme_names())
 SIZES = [64, 144, 1024, 2**12]
 
 
@@ -23,13 +24,13 @@ class TestCorrectness:
     @pytest.mark.parametrize("n", SIZES)
     def test_output_matches_numpy(self, scheme, n, random_complex, spectra_close):
         x = random_complex(n)
-        result = create_scheme(scheme, n).execute(x)
+        result = FTConfig.from_name(scheme).build(n).execute(x)
         spectra_close(result.output, np.fft.fft(x))
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_no_false_positive_on_clean_run(self, scheme, random_complex):
         x = random_complex(2**12)
-        result = create_scheme(scheme, 2**12).execute(x)
+        result = FTConfig.from_name(scheme).build(2**12).execute(x)
         assert not result.report.detected
         assert not result.report.corrections
         assert not result.report.has_uncorrectable
@@ -40,7 +41,7 @@ class TestCorrectness:
 
         n = 2**14
         x = source.uniform_complex(n)
-        result = create_scheme(scheme, n).execute(x)
+        result = FTConfig.from_name(scheme).build(n).execute(x)
         assert not result.report.detected
 
     @pytest.mark.parametrize("scheme", ["opt-online+mem", "online+mem"])
@@ -49,32 +50,32 @@ class TestCorrectness:
 
         n = 2**12
         x = 1e6 * source.normal_complex(n)
-        result = create_scheme(scheme, n).execute(x)
+        result = FTConfig.from_name(scheme).build(n).execute(x)
         assert not result.report.detected
 
     @pytest.mark.parametrize("scheme", ["opt-online+mem", "online+mem"])
     def test_no_false_positive_with_tiny_scale_input(self, scheme, source):
         n = 2**12
         x = 1e-6 * source.normal_complex(n)
-        result = create_scheme(scheme, n).execute(x)
+        result = FTConfig.from_name(scheme).build(n).execute(x)
         assert not result.report.detected
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_input_array_is_not_mutated(self, scheme, random_complex):
         x = random_complex(256)
         original = x.copy()
-        create_scheme(scheme, 256).execute(x)
+        FTConfig.from_name(scheme).build(256).execute(x)
         assert np.array_equal(x, original)
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_result_metadata(self, scheme, random_complex):
-        result = create_scheme(scheme, 64).execute(random_complex(64))
+        result = FTConfig.from_name(scheme).build(64).execute(random_complex(64))
         assert result.scheme == result.report.scheme
         assert result.output.shape == (64,)
 
     def test_wrong_length_input_rejected(self, random_complex):
         with pytest.raises(ValueError):
-            create_scheme("opt-online+mem", 64).execute(random_complex(65))
+            FTConfig.from_name("opt-online+mem").build(64).execute(random_complex(65))
 
 
 class TestSchemeConfiguration:

@@ -174,3 +174,53 @@ class TestProgramCache:
         for t in threads:
             t.join()
         assert not errors
+
+    def test_no_compile_stampede(self, monkeypatch):
+        # Concurrent get_program calls for the same new key must compile
+        # exactly once (per-key once-guard), not once per thread.
+        clear_program_cache()
+        compiled = []
+        real_cls = executor.StageProgram
+
+        class Counting(real_cls):
+            def __init__(self, n):
+                compiled.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(executor, "StageProgram", Counting)
+        n = 3 * 5 * 7 * 11  # a size nothing else compiles
+        results = []
+        barrier = threading.Barrier(8, timeout=30)
+
+        def fetch():
+            barrier.wait()
+            results.append(executor.get_program(n))
+
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(results) == 8
+        assert compiled.count(n) == 1
+        assert all(r is results[0] for r in results)
+
+    def test_failed_compile_releases_guard(self, monkeypatch):
+        clear_program_cache()
+        calls = []
+        real_cls = executor.StageProgram
+
+        class FlakyOnce(real_cls):
+            def __init__(self, n):
+                calls.append(n)
+                if len(calls) == 1:
+                    raise RuntimeError("transient compile failure")
+                super().__init__(n)
+
+        monkeypatch.setattr(executor, "StageProgram", FlakyOnce)
+        n = 3 * 5 * 7 * 13
+        with pytest.raises(RuntimeError):
+            executor.get_program(n)
+        # the in-flight guard must not wedge subsequent requests
+        assert executor.get_program(n).n == n

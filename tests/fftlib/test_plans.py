@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.fftlib.executor import get_program
 from repro.fftlib.inplace import InPlaceTwoLayerPlan
-from repro.fftlib.plan import Plan, PlanDirection, PlanStrategy, estimate_flops
+from repro.fftlib.plan import Plan, PlanDirection, estimate_flops
 from repro.fftlib.planner import Planner, PlannerPolicy, get_default_planner, plan_fft
 from repro.fftlib.three_layer import ThreeLayerPlan
 from repro.fftlib.two_layer import TwoLayerDecomposition, TwoLayerPlan
+
+
+def _signal(n, seed=7, batch=None):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if batch is None else (batch, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestPlan:
@@ -53,17 +60,12 @@ class TestPlanner:
         planner = Planner()
         assert planner.plan(32) is planner.plan(32)
 
-    def test_heuristic_strategies(self):
-        planner = Planner()
-        assert planner.plan(8).strategy is PlanStrategy.CODELET
-        assert planner.plan(13).strategy is PlanStrategy.DIRECT
-        assert planner.plan(1009).strategy is PlanStrategy.BLUESTEIN
-        assert planner.plan(360).strategy is PlanStrategy.MIXED_RADIX
-
-    def test_measure_policy_records_timings(self, random_complex):
+    def test_measure_policy_times_only_capability_requests(self, random_complex):
+        # A plain request has a single lowering, so MEASURE has nothing to race.
         planner = Planner(policy=PlannerPolicy.MEASURE)
         plan = planner.plan(64)
-        assert 64 in planner.measurements
+        assert planner.inplace_measurements == {} and planner.native_measurements == {}
+        assert [key for key in planner.export_wisdom() if key.startswith("__")] == []
         x = random_complex(64)
         assert np.allclose(plan.execute(x), np.fft.fft(x), atol=1e-9)
 
@@ -80,11 +82,71 @@ class TestPlanner:
         data = planner.export_wisdom()
         other = Planner()
         other.import_wisdom(data)
-        assert other.plan(32).strategy is planner.plan(32).strategy
+        assert other.plan(32).program is planner.plan(32).program
+        restored = other.plan(13, PlanDirection.BACKWARD)
+        assert restored is other.wisdom[(13, PlanDirection.BACKWARD, "fftlib", False, False, False)]
 
     def test_default_planner_shared(self):
         assert get_default_planner() is get_default_planner()
         assert plan_fft(16) is plan_fft(16)
+
+
+class TestPlanFFT:
+    """``plan_fft`` plans run their compiled program on the caller's thread."""
+
+    # even power of two, even composite, odd composite, prime
+    SIZES = (4096, 6144, 6561, 4099)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_numpy_single(self, n):
+        x = _signal(n)
+        assert np.allclose(plan_fft(n).execute(x), np.fft.fft(x))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_numpy_batched(self, n):
+        X = _signal(n, batch=7)
+        assert np.allclose(plan_fft(n).execute(X), np.fft.fft(X, axis=-1))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_backward_matches_numpy(self, n):
+        x = _signal(n, seed=3)
+        assert np.allclose(plan_fft(n, PlanDirection.BACKWARD).execute(x), np.fft.ifft(x))
+
+    def test_nd_batch_shape_preserved(self):
+        X = _signal(4096, batch=6).reshape(2, 3, 4096)
+        out = plan_fft(4096).execute(X)
+        assert out.shape == X.shape
+        assert np.allclose(out, np.fft.fft(X, axis=-1))
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(ValueError):
+            plan_fft(4096).execute(np.zeros(100, dtype=complex))
+
+    def test_empty_batch_keeps_its_shape(self):
+        empty = np.empty((0, 4096), dtype=complex)
+        assert plan_fft(4096).execute(empty).shape == (0, 4096)
+
+    def test_repeated_runs_bitwise_identical(self):
+        plan = plan_fft(8192)
+        x = _signal(8192, seed=1)
+        first = plan.execute(x)
+        for _ in range(3):
+            assert np.array_equal(first, plan.execute(x))
+
+    def test_lowers_the_shared_compiled_program(self):
+        plan = Planner().plan(1 << 14)
+        assert plan.program is get_program(1 << 14)
+        assert "threads" not in plan.describe()
+
+    def test_numpy_backend_plan(self):
+        x = _signal(1 << 14, seed=4)
+        assert np.allclose(plan_fft(1 << 14, backend="numpy").execute(x), np.fft.fft(x))
+
+    def test_real_plan(self):
+        plan = plan_fft(1 << 14, real=True)
+        assert plan.real
+        x = np.random.default_rng(5).standard_normal(1 << 14)
+        assert np.allclose(plan.execute(x), np.fft.rfft(x))
 
 
 class TestTwoLayerDecomposition:

@@ -1,18 +1,53 @@
 """Compiled real-input programs, real plans, backends, and wisdom persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.fftlib import executor
 from repro.fftlib.backends import FFTBackend, get_backend
 from repro.fftlib.executor import get_program, get_real_program, rfft as exec_rfft
-from repro.fftlib.plan import PlanDirection, PlanStrategy
+from repro.fftlib.plan import PlanDirection
 from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft
 from repro.fftlib.real import irfft, rfft
 
 EVEN_SIZES = [2, 4, 16, 48, 250, 1024]
 ODD_SIZES = [3, 9, 15, 27, 81, 255]
 PRIME_SIZES = [17, 31, 97, 211]
+
+#: A wisdom snapshot in the format ``export_wisdom`` wrote before the thread
+#: layer and the strategy race were removed: strategy names as per-key
+#: values, a ``:t2`` thread-count key part, and the ``__measurements__`` /
+#: ``__thread_measurements__`` / ``__programs__`` reserved entries.
+PRE_REMOVAL_SNAPSHOT = {
+    "64:forward:fftlib": "mixed-radix",
+    "8192:forward:fftlib:t2": "mixed-radix",
+    "48:forward:fftlib:real": "mixed-radix",
+    "1024:forward:fftlib:ip": "mixed-radix",
+    "__measurements__": {
+        "64": {"mixed-radix": 1.1e-04, "direct": 2.6e-04, "bluestein": 1.5e-04},
+        "8192": {"mixed-radix": 9.5e-04, "bluestein": 2.8e-03},
+    },
+    "__thread_measurements__": {"8192:t2": {"serial": 2.3e-03, "threaded": 7.8e-04}},
+    "__inplace_measurements__": {"1024": {"pingpong": 5.5e-05, "stockham": 8.5e-05}},
+    "__programs__": {
+        "64:forward:fftlib": "StageProgram(n=64, base=64[direct], combine=-)",
+        "8192:forward:fftlib:t2": (
+            "ThreadedSixStep(n=8192 = 128 x 64, threads=2, "
+            "row=StageProgram(n=128, base=8[direct], combine=16), "
+            "col=StageProgram(n=64, base=64[direct], combine=-))"
+        ),
+    },
+}
+
+#: The wisdom key each per-key entry of that snapshot imports to.
+PRE_REMOVAL_KEYS = {
+    "64:forward:fftlib": (64, PlanDirection.FORWARD, "fftlib", False, False, False),
+    "8192:forward:fftlib:t2": (8192, PlanDirection.FORWARD, "fftlib", False, False, False),
+    "48:forward:fftlib:real": (48, PlanDirection.FORWARD, "fftlib", True, False, False),
+    "1024:forward:fftlib:ip": (1024, PlanDirection.FORWARD, "fftlib", False, True, False),
+}
 
 
 @pytest.fixture
@@ -129,56 +164,92 @@ class TestBackendRealTransforms:
 
 
 class TestWisdomPersistence:
-    def test_export_includes_measurements_and_programs(self):
+    def test_export_describes_each_key(self):
         planner = Planner(policy=PlannerPolicy.MEASURE)
         planner.plan(64)
         planner.plan(48, real=True)
         data = planner.export_wisdom()
-        assert "64:forward:fftlib" in data
-        assert "48:forward:fftlib:real" in data
-        assert "64" in data["__measurements__"]
-        assert "RealStageProgram" in data["__programs__"]["48:forward:fftlib:real"]
+        assert data["64:forward:fftlib"] == get_program(64).describe()
+        assert "RealStageProgram" in data["48:forward:fftlib:real"]
+        assert not any(key in data for key in ("__measurements__", "__programs__"))
         # JSON-serialisable end to end
-        import json
-
         json.dumps(data)
 
-    def test_import_round_trip_restores_real_plans_and_timings(self):
+    def test_import_round_trip_restores_real_plans(self):
         planner = Planner(policy=PlannerPolicy.MEASURE)
         planner.plan(64)
         planner.plan(48, real=True)
         other = Planner(policy=PlannerPolicy.MEASURE)
         other.import_wisdom(planner.export_wisdom())
-        assert 64 in other.measurements
+        key = (48, PlanDirection.FORWARD, "fftlib", True, False, False)
+        assert key in other.wisdom
         restored = other.plan(48, real=True)
+        assert restored is other.wisdom[key]
         assert restored.real
-        assert restored.strategy is planner.plan(48, real=True).strategy
-
-    def test_measure_policy_reuses_imported_timings(self):
-        # Imported timings decide the strategy without re-timing: a fake
-        # measurement naming bluestein as fastest must win over the
-        # mixed-radix heuristic for a composite size.
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-        planner.import_wisdom(
-            {"__measurements__": {"64": {"bluestein": 1e-9, "mixed-radix": 1.0}}}
-        )
-        assert planner.plan(64).strategy is PlanStrategy.BLUESTEIN
-
-    def test_imported_invalid_strategy_falls_back(self):
-        # A codelet strategy for a size without a codelet must not be trusted.
-        planner = Planner(policy=PlannerPolicy.ESTIMATE)
-        planner.import_wisdom({"4096:forward:fftlib": "mixed-radix"})
-        assert planner.plan(4096).strategy is PlanStrategy.MIXED_RADIX
 
     def test_legacy_flat_formats_still_accepted(self):
         planner = Planner()
         planner.import_wisdom({"16:forward": "mixed-radix"})
-        assert planner.plan(16).strategy.value == "mixed-radix"
+        key = (16, PlanDirection.FORWARD, "fftlib", False, False, False)
+        assert planner.plan(16) is planner.wisdom[key]
         planner.import_wisdom({"32:backward:numpy": "mixed-radix"})
-        assert (
-            planner.plan(32, PlanDirection.BACKWARD, "numpy").strategy.value
-            == "mixed-radix"
+        key = (32, PlanDirection.BACKWARD, "numpy", False, False, False)
+        assert planner.plan(32, PlanDirection.BACKWARD, "numpy") is planner.wisdom[key]
+
+    def test_snapshot_from_before_thread_removal_imports_serial_plans(self):
+        planner = Planner(policy=PlannerPolicy.MEASURE)
+        planner.import_wisdom(json.loads(json.dumps(PRE_REMOVAL_SNAPSHOT)))
+        # the :t2 key lands on the serial key and lowers to the serial program
+        serial = planner.plan(8192)
+        assert serial is planner.wisdom[(8192, PlanDirection.FORWARD, "fftlib", False, False, False)]
+        assert serial.program is get_program(8192)
+        assert not hasattr(serial, "threads")
+        x = np.random.default_rng(8).standard_normal(8192) + 0j
+        assert np.allclose(serial.execute(x), np.fft.fft(x))
+        # timings this planner still races are honoured; the others are dropped
+        assert not planner.plan(1024, inplace=True).inplace
+        exported = planner.export_wisdom()
+        assert "__inplace_measurements__" in exported
+        assert not any(
+            key in exported
+            for key in ("__measurements__", "__thread_measurements__", "__programs__")
         )
+        assert not any(":t" in key for key in exported)
+
+    @pytest.mark.parametrize("key", list(PRE_REMOVAL_KEYS))
+    def test_each_pre_removal_key_imports_to_a_working_plan(self, key):
+        expected = PRE_REMOVAL_KEYS[key]
+        planner = Planner()
+        planner.import_wisdom({key: PRE_REMOVAL_SNAPSHOT[key]})
+        assert list(planner.wisdom) == [expected]
+        plan = planner.wisdom[expected]
+        n = expected[0]
+        rng = np.random.default_rng(n)
+        if plan.real:
+            x = rng.standard_normal(n)
+            want = np.fft.rfft(x)
+        else:
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            want = np.fft.fft(x)
+        assert np.allclose(plan.execute(x), want)
+
+    def test_import_never_times_transforms(self):
+        # Deserializing wisdom must not run live benchmarks, even in a
+        # MEASURE planner and for keys whose lowering it would race.
+        planner = Planner(policy=PlannerPolicy.MEASURE)
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("import_wisdom must not time transforms")
+
+        planner._stockham_wins = forbidden
+        planner._native_wins = forbidden
+        planner.import_wisdom(
+            {"1024:forward:fftlib:ip": "stockham", "2048:forward:fftlib:nat": "native"}
+        )
+        assert (1024, PlanDirection.FORWARD, "fftlib", False, True, False) in planner.wisdom
+        assert (2048, PlanDirection.FORWARD, "fftlib", False, False, True) in planner.wisdom
+        assert planner.inplace_measurements == {}
+        assert planner.native_measurements == {}
 
 
 class TestFusedInverseOverwrite:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.config import legacy_scheme_names
 
 
 class TestParser:
@@ -14,6 +15,43 @@ class TestParser:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["transform", "--scheme", "bogus"])
+
+    def test_unknown_flag_suffix_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "-n", "1024", "--scheme", "opt-online+mem+t2"])
+        assert exc.value.code == 2
+        assert "unknown scheme 'opt-online+mem+t2'" in capsys.readouterr().err
+
+    def test_flag_suffixed_scheme_accepted(self, capsys):
+        assert main(["profile", "-n", "1024", "--scheme", "opt-online+mem+numpy"]) == 0
+        assert "backend=numpy" in capsys.readouterr().out
+
+    def test_real_flag_in_scheme_name_feeds_a_real_signal(self, capsys):
+        assert main(["transform", "-n", "1024", "--scheme", "opt-online+mem+real"]) == 0
+        assert "relative output error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "-n", "256", "--scheme", "opt-offline+mem+numpy"],
+            [
+                "inject", "-n", "1024", "--scheme", "opt-online+mem+ip",
+                "--site", "output", "--magnitude", "40", "--element", "17", "--seed", "6",
+            ],
+            ["profile", "-n", "1024", "--scheme", "online+mem+real"],
+        ],
+        ids=["transform", "inject", "profile"],
+    )
+    def test_flag_suffixed_names_on_every_scheme_subcommand(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["transform", "inject", "profile"])
+    def test_thread_count_suffix_is_a_usage_error_everywhere(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-n", "256", "--scheme", "fftw+t0"])
+        assert exc.value.code == 2
+        assert "unknown scheme 'fftw+t0'" in capsys.readouterr().err
 
     def test_defaults(self):
         args = build_parser().parse_args(["transform"])
@@ -50,6 +88,13 @@ class TestTransformCommand:
 
     def test_alternate_scheme(self, capsys):
         assert main(["transform", "-n", "256", "--scheme", "opt-offline"]) == 0
+
+    @pytest.mark.parametrize("name", list(legacy_scheme_names()))
+    def test_every_legacy_scheme_name(self, name, capsys):
+        assert main(["transform", "-n", "256", "--seed", "2", "--scheme", name]) == 0
+        out = capsys.readouterr().out
+        assert "errors detected      : False" in out
+        assert "relative output error" in out
 
 
 class TestInjectCommand:
@@ -91,25 +136,24 @@ class TestPredictCommand:
         assert "opt-FT-FFTW" in out
 
 
-class TestThreadsOption:
-    def test_threaded_batched_transform(self, capsys):
-        code = main(["transform", "-n", "1024", "--batch", "6", "--threads", "3", "--seed", "4"])
+class TestBatchOption:
+    def test_batched_transform(self, capsys):
+        code = main(["transform", "-n", "1024", "--batch", "6", "--seed", "4"])
         assert code == 0
         out = capsys.readouterr().out
         assert "batch rows           : 6" in out
 
-    def test_threaded_real_batch(self, capsys):
-        code = main(
-            ["transform", "-n", "1024", "--batch", "4", "--threads", "2", "--real", "--seed", "5"]
-        )
+    def test_real_batch(self, capsys):
+        code = main(["transform", "-n", "1024", "--batch", "4", "--real", "--seed", "5"])
         assert code == 0
 
-    def test_threaded_inject_worker_chunk(self, capsys):
-        # pin the OUTPUT fault to worker chunk 1; the per-chunk checksums
-        # must locate and correct it (exit 0 = output within tolerance)
+    def test_batched_inject_with_index(self, capsys):
+        # the batched OUTPUT site is one visit over the whole batch, so an
+        # --index spec still fires exactly once; the per-row checksums must
+        # locate and correct it (exit 0 = output within tolerance)
         code = main(
             [
-                "inject", "-n", "1024", "--batch", "8", "--threads", "4",
+                "inject", "-n", "1024", "--batch", "8",
                 "--site", "output", "--kind", "set-constant", "--magnitude", "99",
                 "--index", "1", "--seed", "6",
             ]
@@ -118,9 +162,6 @@ class TestThreadsOption:
         out = capsys.readouterr().out
         assert "faults injected      : 1" in out
         assert "rows re-protected    : 1" in out
-
-    def test_threads_zero_is_automatic(self, capsys):
-        assert main(["transform", "-n", "512", "--batch", "2", "--threads", "0"]) == 0
 
 
 class TestInplaceOption:
@@ -153,23 +194,14 @@ class TestInplaceOption:
         out = capsys.readouterr().out
         assert "faults injected      : 1" in out
 
-    def test_inplace_composes_with_threads(self, capsys):
+    def test_inplace_batched_inject_with_index(self, capsys):
         code = main(
-            ["transform", "-n", "1024", "--batch", "6", "--threads", "2",
-             "--inplace", "--seed", "7"]
+            [
+                "inject", "-n", "1024", "--batch", "6", "--inplace",
+                "--site", "output", "--magnitude", "40", "--index", "2", "--seed", "7",
+            ]
         )
         assert code == 0
-
-
-class TestBenchCommand:
-    def test_bench_smoke(self, capsys):
-        assert main(["bench", "-n", "4096", "--threads", "2", "--repeats", "1", "--batch", "2"]) == 0
         out = capsys.readouterr().out
-        assert "serial compiled" in out
-        assert "threaded x2" in out
-        assert "pool:" in out
-
-    def test_bench_without_batch(self, capsys):
-        assert main(["bench", "-n", "4096", "--threads", "2", "--repeats", "1", "--batch", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "protected batch" not in out
+        assert "faults injected      : 1" in out
+        assert "rows re-protected    : 1" in out

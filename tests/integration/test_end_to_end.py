@@ -7,7 +7,9 @@ benchmark harnesses do, at sizes small enough for the unit-test suite.
 
 import numpy as np
 
-from repro import FaultInjector, FaultSite, FaultTolerantFFT, available_schemes, create_scheme
+import repro
+from repro import FaultInjector, FaultSite, FTConfig
+from repro.core.config import legacy_scheme_names
 from repro.analysis.metrics import error_distribution_row, minimal_detectable_magnitude
 from repro.analysis.roundoff import measure_stage1_residuals
 from repro.faults.campaign import CoverageCampaign
@@ -23,11 +25,11 @@ class TestSequentialPipeline:
         n = 2**12
         x = source.uniform_complex(n)
         reference = np.fft.fft(x)
-        for name in available_schemes():
+        for name in legacy_scheme_names():
             injector = FaultInjector().arm_computational(
                 FaultSite.STAGE2_COMPUTE, index=4, element=11, magnitude=3.0
             )
-            result = create_scheme(name, n).execute(x, injector)
+            result = FTConfig.from_name(name).build(n).execute(x, injector)
             if name == "fftw":
                 assert not result.report.detected
             else:
@@ -41,8 +43,8 @@ class TestSequentialPipeline:
 
         n = 4096
         signal = source.signal_with_tones(n, tones=[17, 389], noise=0.01)
-        ft = FaultTolerantFFT(n)
-        forward = ft.forward(
+        ft = repro.plan(n)
+        forward = ft.execute(
             signal, FaultInjector().arm_computational(FaultSite.STAGE1_COMPUTE, magnitude=9.0)
         )
         back = ft.inverse(
@@ -55,8 +57,8 @@ class TestSequentialPipeline:
 
         n = 2**12
         x = source.uniform_complex(n)
-        offline = create_scheme("opt-offline+mem", n)
-        online = create_scheme("opt-online+mem", n)
+        offline = FTConfig.from_name("opt-offline+mem").build(n)
+        online = FTConfig.from_name("opt-online+mem").build(n)
 
         def detects(scheme, magnitude):
             spec = FaultSpec(
@@ -75,7 +77,7 @@ class TestSequentialPipeline:
         n = 2**12
         study = measure_stage1_residuals(n, runs=2, seed=5)
         x = source.uniform_complex(n)
-        result = create_scheme("opt-online+mem", n).execute(x)
+        result = FTConfig.from_name("opt-online+mem").build(n).execute(x)
         assert not result.report.detected
         assert study.max_residual <= study.estimated_eta
 
@@ -88,7 +90,7 @@ class TestCampaignPipeline:
         trials = 24
         rows = {}
         for label, scheme_name in [("none", "fftw"), ("offline", "opt-offline+mem"), ("online", "opt-online+mem")]:
-            scheme = create_scheme(scheme_name, n)
+            scheme = FTConfig.from_name(scheme_name).build(n)
 
             campaign = CoverageCampaign(
                 make_input=lambda t, rng: rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n),
@@ -129,7 +131,7 @@ class TestParallelPipeline:
     def test_parallel_matches_sequential_protected_result(self, source):
         n, p = 4096, 8
         x = source.uniform_complex(n)
-        sequential = create_scheme("opt-online+mem", n).execute(x).output
+        sequential = FTConfig.from_name("opt-online+mem").build(n).execute(x).output
         parallel = ParallelFTFFT(n, p).execute(x).output
         assert np.allclose(sequential, parallel, atol=1e-8)
 

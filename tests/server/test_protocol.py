@@ -27,11 +27,11 @@ class TestParseHead:
         assert head.payload_bytes == 256 * 16
 
     def test_config_canonical_name_is_group_key(self):
-        # The grammar is suffix-order-strict (``+real`` before ``+t{N}``),
-        # so the canonical spelling round-trips unchanged - the (n, config)
-        # micro-batch group key is exactly the canonical name.
-        head = protocol.parse_head(b'{"n": 64, "config": "opt-online+mem+real+t2"}')
-        assert head.config == "opt-online+mem+real+t2"
+        # The grammar is suffix-order-strict (``+real`` before the backend
+        # flag), so the canonical spelling round-trips unchanged - the
+        # (n, config) micro-batch group key is exactly the canonical name.
+        head = protocol.parse_head(b'{"n": 64, "config": "opt-online+mem+real+numpy"}')
+        assert head.config == "opt-online+mem+real+numpy"
         assert head.real
         assert head.payload_bytes == 64 * 8  # float64 rows for +real
 
@@ -50,6 +50,9 @@ class TestParseHead:
             b'{"n": 1}',
             b'{"n": 256, "config": 7}',
             b'{"n": 256, "config": "no-such-scheme"}',
+            # thread-count suffixes are not part of the grammar
+            b'{"n": 256, "config": "opt-online+mem+t2"}',
+            b'{"n": 256, "config": "opt-online+mem+real+t0"}',
         ],
     )
     def test_malformed_heads_rejected(self, line):

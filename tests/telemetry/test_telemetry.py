@@ -176,7 +176,7 @@ class TestRegistry:
 class TestProcessWideSurfaces:
     def test_snapshot_folds_every_info_surface(self):
         caches = telemetry.snapshot()["caches"]
-        assert {"plan_cache", "program_cache", "twiddle_cache", "pool", "native"} <= set(caches)
+        assert {"plan_cache", "program_cache", "twiddle_cache", "native"} <= set(caches)
         for surface in caches.values():
             assert "error" not in surface, surface
 

@@ -309,9 +309,11 @@ GUARDED_FILES = [
     ("src/repro/fftlib/executor.py", "with _cache_lock:"),
     ("src/repro/core/ftplan.py", "with _cache_lock:"),
     ("src/repro/fftlib/twiddle.py", "with self._lock:"),
-    ("src/repro/runtime/pool.py", "with self._lock:"),
     ("src/repro/fftlib/backends.py", "with _LOCK:"),
     ("src/repro/fftlib/planner.py", "with self._lock:"),
+    ("src/repro/fftlib/native/cache.py", "with _lock:"),
+    ("src/repro/fftlib/native/kernels.py", "with _counter_lock:"),
+    ("src/repro/telemetry/trace.py", "with _lock:"),
 ]
 
 
@@ -527,28 +529,6 @@ class TestCapabilityGuard:
             rel="src/repro/fftlib/planner.py",
         )
         assert found == []
-
-    def test_unguarded_threaded_program_flagged_and_guard_accepted(self):
-        bad = _rules(
-            capability,
-            """
-            def lower(n, t):
-                return get_threaded_program(n, t)
-            """,
-            rel="src/repro/fftlib/planner.py",
-        )
-        assert len(bad) == 1 and "get_threaded_program" in bad[0].message
-        good = _rules(
-            capability,
-            """
-            def lower(n, t):
-                if not threading_profitable(n, t):
-                    return None
-                return get_threaded_program(n, t)
-            """,
-            rel="src/repro/fftlib/planner.py",
-        )
-        assert good == []
 
     def test_hasattr_and_is_none_checks_count_as_guards(self):
         found = _rules(

@@ -9,8 +9,8 @@ package turns each contract into a machine-checked rule:
 
 ``hotpath-alloc``
     ``execute*`` / ``transform*`` / ``*_into`` / ``*_overwrite`` functions
-    in the executor, real-transform, threaded-runtime, and FTPlan fast
-    paths may not call allocating constructors.
+    in the executor, real-transform, and FTPlan fast paths may not call
+    allocating constructors.
 ``lock-discipline``
     module- or class-level mutable containers and counters, in scopes that
     declare a ``threading.Lock``/``RLock``, may only be mutated inside a
@@ -19,10 +19,10 @@ package turns each contract into a machine-checked rule:
     no attribute assignment on instances of ``@dataclass(frozen=True)``
     plan-time objects outside their own ``__init__``/``__post_init__``.
 ``capability-guard``
-    calls into ``get_stockham_program`` / ``get_threaded_program`` /
+    calls into ``get_stockham_program`` / ``get_native_kernels`` /
     ``execute_inplace`` must be dominated by the matching capability
-    guard (``stockham_supported``, ``supports_inplace``, ``hasattr``,
-    ``is not None``, ...).
+    guard (``stockham_supported``, ``supports_inplace``,
+    ``native_supported``, ``hasattr``, ``is not None``, ...).
 ``fft-boundary``
     ``numpy.fft`` may only be touched by ``fftlib/backends.py`` and tests.
 

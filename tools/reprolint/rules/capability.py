@@ -1,9 +1,9 @@
 """Rule ``capability-guard``: gated program paths stay behind their guards.
 
-The in-place Stockham lowering and the threaded six-step program only
-exist for sizes/backends that advertise the capability
-(``stockham_supported``, ``FFTBackend.supports_inplace`` /
-``supports_threads``, ``threading_profitable``).  A call site that skips
+The in-place Stockham lowering and the native kernel tier only exist for
+sizes/backends/hosts that advertise the capability (``stockham_supported``,
+``FFTBackend.supports_inplace`` / ``supports_native``,
+``native_supported``).  A call site that skips
 the guard works on the sizes the author tested and raises (or silently
 degrades) on the rest - exactly the class of bug a reproduction cannot
 afford on untested paths.  In ``src`` (tests and benchmarks may poke the
@@ -12,8 +12,6 @@ internals directly):
 * calls to ``get_stockham_program(...)`` / ``.execute_inplace(...)`` /
   ``.execute_inverse_inplace(...)`` must sit in a function that shows
   in-place guard evidence;
-* calls to ``get_threaded_program(...)`` must sit in a function that shows
-  threading guard evidence;
 * calls to ``get_native_kernels(...)`` must sit in a function that shows
   native-tier guard evidence (``native_supported`` / ``supports_native``) -
   the unguarded call raises when the tier is down (no compiler,
@@ -41,15 +39,11 @@ RULE = "capability-guard"
 WAIVER = "capability-ok"
 
 INPLACE_TOKENS = frozenset({"stockham_supported", "supports_inplace"})
-THREAD_TOKENS = frozenset(
-    {"threading_profitable", "resolve_thread_count", "supports_threads"}
-)
 NATIVE_TOKENS = frozenset({"native_supported", "supports_native"})
 
 #: function-call targets -> required guard tokens
 CALL_TARGETS = {
     "get_stockham_program": INPLACE_TOKENS,
-    "get_threaded_program": THREAD_TOKENS,
     "get_native_kernels": NATIVE_TOKENS,
 }
 #: method-call targets -> required guard tokens
@@ -171,12 +165,12 @@ def _guard_evidence(func: ast.FunctionDef) -> Set[str]:
     evidence: Set[str] = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Name):
-            if node.id in INPLACE_TOKENS | THREAD_TOKENS | NATIVE_TOKENS:
+            if node.id in INPLACE_TOKENS | NATIVE_TOKENS:
                 evidence.add(node.id)
             elif node.id == "hasattr":
                 evidence.add("hasattr")
         elif isinstance(node, ast.Attribute):
-            if node.attr in INPLACE_TOKENS | THREAD_TOKENS | NATIVE_TOKENS:
+            if node.attr in INPLACE_TOKENS | NATIVE_TOKENS:
                 evidence.add(node.attr)
         elif isinstance(node, ast.Compare):
             if any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and any(

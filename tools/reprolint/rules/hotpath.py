@@ -5,8 +5,8 @@ reusing thread-local scratch instead of allocating per call (PR 5's
 tracemalloc test asserts this for one size; this rule asserts the *shape*
 for every size).  Functions whose name marks them as hot - ``execute*`` /
 ``transform*`` prefixes, ``*_into`` / ``*_overwrite`` suffixes - in the
-executor, the real-transform module, the threaded runtime, and the FTPlan
-transform fast paths may not:
+executor, the real-transform module, and the FTPlan transform fast paths
+may not:
 
 * call allocating numpy constructors (``np.empty`` / ``zeros`` /
   ``concatenate`` / ``array`` / ``ascontiguousarray`` / ...),
@@ -43,7 +43,6 @@ WAIVER = "alloc-ok"
 HOT_FILES = {
     "src/repro/fftlib/executor.py": ("execute", "transform"),
     "src/repro/fftlib/real.py": ("execute", "transform"),
-    "src/repro/runtime/threaded.py": ("execute", "transform"),
     # FTPlan's execute* entry points run the (allocating) protection
     # machinery; only its transform fast paths are allocation-sensitive.
     "src/repro/core/ftplan.py": ("transform",),

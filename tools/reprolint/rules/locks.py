@@ -1,6 +1,6 @@
 """Rule ``lock-discipline``: shared mutable state is only touched under its lock.
 
-The program / twiddle / plan LRU caches and the ``WorkerPool`` counters are
+The program / twiddle / plan LRU caches and the planner's wisdom are
 process-wide state hit from every worker thread; PR 4's cache-stampede bug
 was exactly an unlocked mutation of one of them.  This rule makes the
 discipline structural:
@@ -10,8 +10,8 @@ discipline structural:
   (dict / list / set / ``OrderedDict`` / ... assignment or literal) may only
   be mutated - subscript store/delete, mutator method call - inside a
   ``with <that lock>:`` block, and every module global that functions rebind
-  through ``global`` (cache counters, default names, the lazily-created
-  pool) may only be rebound under the lock as well.
+  through ``global`` (cache counters, default names, cache limits) may only
+  be rebound under the lock as well.
 * In a **class** whose ``__init__`` / ``__post_init__`` (or dataclass field
   ``default_factory``) declares a lock attribute, every container / counter
   attribute initialised there may only be mutated outside the initialiser
