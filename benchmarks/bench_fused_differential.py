@@ -1,15 +1,20 @@
 """Nightly differential sweep: fused protected execution vs the legacy scheme.
 
-PR 7 compiled the ABFT into the transform: fault-free protected runs go
-through :class:`repro.fftlib.protected.ProtectedStageProgram` instead of
-the paper-exact group-wise scheme.  That fast path is only sound if it is
-*indistinguishable* from the legacy path on everything except speed, so
-this harness sweeps randomized trials (``REPRO_BENCH_TRIALS``, 200 in the
-nightly run) over both protected schemes and asserts, per trial:
+Fault-free protected runs go through
+:class:`repro.fftlib.protected.ProtectedStageProgram` - the paper's one
+end-to-end check (``c . x = r . X``) around the plan's own lowering -
+instead of the paper-exact group-wise scheme.  That fast path is only
+sound if it is *indistinguishable* from the legacy path on everything
+except speed, so this harness sweeps randomized trials
+(``REPRO_BENCH_TRIALS``, 200 in the nightly run) over both protected
+schemes and asserts, per trial:
 
-* **spectrum** - the fused output is *bitwise* identical to the unprotected
-  compiled stage program and within roundoff of the legacy scheme path
-  (the legacy path uses the same sub-FFTs but different reduction order);
+* **spectrum** - the fused output is *bitwise* identical to the plan's own
+  program (``get_program(n)``, native stage bodies where the tier is up)
+  and within roundoff of the legacy scheme path (the legacy path uses
+  different sub-FFTs and reduction order);
+* **check** - the output checksum ``r . X`` the fused program returns is
+  exactly one dot over that spectrum;
 * **decision** - both paths agree the run is clean: no detected
   verification, no corrections, no uncorrectable faults;
 * **routing/coverage** - a live injector on the *same plan object* routes
@@ -57,12 +62,14 @@ def _clean_report(report) -> bool:
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_fused_fault_free_differential(scheme):
-    """Fused path == compiled program (bitwise) == legacy scheme (roundoff)."""
+    """Fused path == the plan's program (bitwise) == legacy scheme (roundoff)."""
 
     n = _size()
     p = plan_for(scheme, n)
-    assert p._fused_program is not None, "protected plan must carry a fused program"
+    fused_program = p._fused_program
+    assert fused_program is not None, "protected plan must carry a fused program"
     program = get_program(n)
+    assert fused_program.program is program, "the check must wrap the plan's own lowering"
     rng = np.random.default_rng(20170712)
     trials = campaign_trials()
     for trial in range(trials):
@@ -71,7 +78,11 @@ def test_fused_fault_free_differential(scheme):
         compiled = program.execute(x.reshape(1, n)).reshape(n)
         assert np.array_equal(fused.output, compiled), (
             f"{scheme} trial {trial}: fused spectrum is not bitwise-identical "
-            "to the compiled stage program"
+            "to the plan's own program"
+        )
+        _, rx = fused_program.execute_tapped(x)
+        assert rx == complex(np.dot(fused_program.r, compiled)), (
+            f"{scheme} trial {trial}: the check is not one dot over the spectrum"
         )
         legacy = p.scheme.execute(x)
         assert np.allclose(fused.output, legacy.output, rtol=1e-9, atol=1e-9), (

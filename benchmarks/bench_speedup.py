@@ -6,13 +6,17 @@ drifts cannot bias the ratios):
 * ``recursive`` - the seed-style recursive mixed-radix engine
   (:func:`repro.fftlib.mixed_radix.fft`), i.e. the pre-compiled-path hot
   loop;
-* ``compiled``  - ``plan(n, backend="fftlib").execute``: the compiled
-  iterative stage program of :mod:`repro.fftlib.executor`;
+* ``compiled``  - ``plan_fft(n, backend="fftlib", native=False).execute``:
+  the compiled iterative stage program of :mod:`repro.fftlib.executor` on
+  its NumPy stage bodies (the baseline the other compiled columns are
+  measured against; ``inplace`` and ``rfft_compiled`` ask for the NumPy
+  bodies too);
 * ``numpy``     - the pocketfft backend through the same plan interface
   (the compiled-C reference point);
 * ``protected`` - the full ``opt-online+mem`` ABFT transform through
   ``repro.plan(n, backend="fftlib")`` (what the paper's overhead figures
-  are measured on top of);
+  are measured on top of): the end-to-end check around the plan's own
+  lowering, which runs the native stage bodies wherever the tier is up;
 * ``rfft_compiled`` - the compiled half-complex real-input path
   (``plan_fft(n, real=True)``: half-length complex program + one repack
   pass);
@@ -24,9 +28,9 @@ drifts cannot bias the ratios):
   (``plan_fft(n, inplace=True)``: caller's buffer + one half-size scratch,
   no ping-pong pair, no output allocation), timed overwrite-style on a
   reused buffer;
-* ``native`` - the generated-C codelet tier (``plan_fft(n, native=True)``:
-  the same stage schedule executed by compiled combine/base kernels loaded
-  via ctypes, one foreign call per transform);
+* ``native`` - the generated-C codelet tier (``plan_fft(n)``, the default
+  lowering: the same stage schedule executed by compiled combine/base
+  kernels loaded via ctypes, one foreign call per transform);
 * ``rfft_native`` - the real-input path with the native half-length
   program underneath;
 * ``protected_traced`` - the protected path with event tracing enabled
@@ -57,10 +61,15 @@ by more than ``REPRO_BENCH_CHECK_TOLERANCE`` (default 2.5x) - generous
 enough for machine noise across CI hosts, tight enough that "the compiled
 path silently lost its advantage" fails the PR instead of shipping.
 ``--check`` also enforces the *absolute* fused-protection budget on the
-committed reference (``protected_over_compiled_ratio`` at most 2x
-everywhere and at most 1.5x from 2^16 up): a regenerated reference that
+committed reference, against the NumPy baseline
+(``protected_over_compiled_ratio``) and against the plan's own lowering
+(``protected_over_native_ratio``, the protected path's real overhead once
+both run the native kernels; null without the tier): each at most 2x
+everywhere and at most 1.5x from 2^16 up.  A regenerated reference that
 busts the paper's low-overhead claim fails every subsequent CI run, and
-the regenerate path refuses to bless such numbers in the first place.
+the regenerate path refuses to bless such numbers in the first place.  The
+regenerate path also reports whether ``protected_over_native_ratio`` meets
+the tighter 1.3x target from 2^16 up (reported, not gated).
 
 Environment knobs: ``REPRO_BENCH_SIZES`` (default ``65536 262144 1048576``,
 up to the paper's 2^20 benchmark regime; sizes below ~2^14 are dominated by
@@ -105,6 +114,7 @@ CHECKED_RATIOS = {
     "speedup_rfft_native_vs_compiled": True,
     # protected overhead: lower is better (ratio of protected over compiled)
     "protected_over_compiled_ratio": False,
+    "protected_over_native_ratio": False,
     # tracing-enabled over tracing-disabled protected time: lower is better
     "telemetry_overhead_ratio": False,
 }
@@ -118,6 +128,11 @@ PROTECTED_RATIO_MAX = 2.0
 #: transform is memory-bound and the protection adds ~2 passes over the data).
 PROTECTED_RATIO_MAX_LARGE = 1.5
 PROTECTED_RATIO_LARGE_MIN_N = 65536
+#: The protected kernel's target overhead over the plan's own (native)
+#: lowering from 2^16 up; reported at regeneration, not gated.
+PROTECTED_NATIVE_TARGET = 1.3
+#: the overhead ratios the absolute budget applies to
+PROTECTED_RATIOS = ("protected_over_compiled_ratio", "protected_over_native_ratio")
 
 
 #: Absolute floors for the generated-C native tier, enforced (like the
@@ -147,15 +162,13 @@ def check_protected_budget(rows: list, label: str) -> list:
 
     violations = []
     for row in rows:
-        ratio = row.get("protected_over_compiled_ratio")
-        if ratio is None:
-            continue
         budget = protected_budget(int(row["n"]))
-        if ratio > budget:
-            violations.append(
-                f"n={row['n']}: protected_over_compiled_ratio {ratio:.3f} "
-                f"exceeds the {budget}x budget ({label})"
-            )
+        for key in PROTECTED_RATIOS:
+            ratio = row.get(key)
+            if ratio is not None and ratio > budget:
+                violations.append(
+                    f"n={row['n']}: {key} {ratio:.3f} exceeds the {budget}x budget ({label})"
+                )
     return violations
 
 
@@ -222,6 +235,7 @@ def run(write: bool = True) -> dict:
             "native vs numpy",
             "inplace vs compiled",
             "protected vs compiled",
+            "protected vs native",
             "telemetry overhead",
             "rfft speedup",
         ],
@@ -231,11 +245,11 @@ def run(write: bool = True) -> dict:
         x = make_input(int(n))
         xr = np.real(x).copy()
         bins = int(n) // 2 + 1
-        compiled_plan = plan_fft(int(n), backend="fftlib")
-        inplace_plan = plan_fft(int(n), backend="fftlib", inplace=True)
+        compiled_plan = plan_fft(int(n), backend="fftlib", native=False)
+        inplace_plan = plan_fft(int(n), backend="fftlib", inplace=True, native=False)
         numpy_plan = plan_fft(int(n), backend="numpy")
         protected_plan = repro.plan(int(n), backend="fftlib")
-        real_plan = plan_fft(int(n), backend="fftlib", real=True)
+        real_plan = plan_fft(int(n), backend="fftlib", real=True, native=False)
         real_numpy_plan = plan_fft(int(n), backend="numpy", real=True)
         # overwrite-style timing: refill the reused buffer, transform it in
         # place - what a memory-constrained caller actually pays per call.
@@ -271,8 +285,8 @@ def run(write: bool = True) -> dict:
             "rfft_numpy": lambda xr=xr, p=real_numpy_plan: p.execute(xr),
         }
         if with_native:
-            native_plan = plan_fft(int(n), backend="fftlib", native=True)
-            real_native_plan = plan_fft(int(n), backend="fftlib", real=True, native=True)
+            native_plan = plan_fft(int(n), backend="fftlib")
+            real_native_plan = plan_fft(int(n), backend="fftlib", real=True)
             candidates["native"] = lambda x=x, p=native_plan: p.execute(x)
             candidates["rfft_native"] = lambda xr=xr, p=real_native_plan: p.execute(xr)
         # one cache re-warm call + inner-1 steady-state calls per sample
@@ -292,8 +306,10 @@ def run(write: bool = True) -> dict:
             native_vs_compiled = float(best["compiled"] / best["native"])
             native_vs_numpy = float(best["numpy"] / best["native"])
             rfft_native_speedup = float(best["rfft_compiled"] / best["rfft_native"])
+            protected_native_ratio = float(best["protected"] / best["native"])
         else:
             native_vs_compiled = native_vs_numpy = rfft_native_speedup = None
+            protected_native_ratio = None
         results.append(
             {
                 "n": int(n),
@@ -302,6 +318,7 @@ def run(write: bool = True) -> dict:
                 "speedup_numpy_vs_recursive": float(best["recursive"] / best["numpy"]),
                 "speedup_protected_vs_recursive": float(best["recursive"] / best["protected"]),
                 "protected_over_compiled_ratio": float(protected_ratio),
+                "protected_over_native_ratio": protected_native_ratio,
                 "telemetry_overhead_ratio": float(telemetry_ratio),
                 "speedup_inplace_vs_compiled": float(inplace_speedup),
                 "speedup_real_vs_complex_engine": float(real_speedup),
@@ -325,6 +342,7 @@ def run(write: bool = True) -> dict:
             f"{native_vs_numpy:.2f}x" if with_native else "-",
             f"{inplace_speedup:.2f}x",
             f"{protected_ratio:.2f}x",
+            f"{protected_native_ratio:.2f}x" if with_native else "-",
             f"{telemetry_ratio:.3f}x",
             f"{real_speedup:.2f}x",
         )
@@ -332,9 +350,11 @@ def run(write: bool = True) -> dict:
     payload = {
         "benchmark": "bench_speedup",
         "description": (
-            "plan(n, backend='fftlib').execute (compiled stage programs) vs the "
-            "seed-style recursive mixed-radix engine, the numpy backend, and the "
-            "fully protected opt-online+mem plan; "
+            "plan_fft(n, native=False).execute (compiled stage programs on "
+            "NumPy bodies) vs the seed-style recursive mixed-radix engine, the "
+            "numpy backend, and the fully protected opt-online+mem plan (one "
+            "end-to-end check around the default, native lowering: "
+            "protected_over_native_ratio is its overhead over that lowering); "
             "rfft_* columns compare the compiled half-complex real path against "
             "the complex engine on the same real input and numpy.fft.rfft; the "
             "inplace column is the Stockham autosort program overwriting a "
@@ -496,3 +516,15 @@ if __name__ == "__main__":
     ]
     if native_ratios:
         print(f"worst native-vs-compiled speedup: {min(native_ratios):.2f}x")
+    large = [
+        r["protected_over_native_ratio"]
+        for r in payload["results"]
+        if r.get("protected_over_native_ratio") is not None
+        and r["n"] >= PROTECTED_RATIO_LARGE_MIN_N
+    ]
+    if large:
+        verdict = "met" if max(large) <= PROTECTED_NATIVE_TARGET else "NOT met"
+        print(
+            f"worst protected-over-native ratio from 2^16 up: {max(large):.2f}x "
+            f"({PROTECTED_NATIVE_TARGET}x target {verdict})"
+        )

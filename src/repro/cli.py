@@ -133,7 +133,6 @@ def _make_plan(args: argparse.Namespace, n: int) -> FTPlan:
         backend=args.backend,
         real=getattr(args, "real", False),
         inplace=getattr(args, "inplace", False),
-        native=getattr(args, "native", False),
     )
     return plan(n, config)
 
@@ -213,13 +212,6 @@ def _add_signal_options(parser: argparse.ArgumentParser) -> None:
              "(caller's buffer + one half-size scratch instead of ping-pong "
              "buffers) and run the transform through the overwrite path "
              "with checksum-carried surrogate recovery",
-    )
-    parser.add_argument(
-        "--native", action="store_true",
-        help="native kernel tier: execute the fault-free stage bodies "
-             "through generated-C codelets compiled once per machine with "
-             "the system C compiler (silently falls back to the pure-NumPy "
-             "lowering when no compiler is available or REPRO_NO_NATIVE=1)",
     )
 
 
@@ -411,7 +403,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         size_text, _, scheme = spec.partition(":")
         warm_plan = plan(int(size_text), scheme or "opt-online+mem")
         # One throwaway execution compiles the stage programs, caches the
-        # twiddles, and (for native plans) builds the codelets up front.
+        # twiddles, and loads (or first builds) the native kernels up front.
         dtype = np.float64 if warm_plan.config.real else np.complex128
         warm_plan.execute_many(np.zeros((1, warm_plan.n), dtype))
         print(f"warmed n={warm_plan.n} config={warm_plan.config.to_name()}")
@@ -452,8 +444,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.server.protocol import canonical_config
 
     scheme = args.scheme
-    if args.real and not canonical_config(scheme)[1]:
-        scheme += "+real"
+    if args.real:
+        scheme = FTConfig.from_name(scheme).replace(real=True).to_name()
     config, real = canonical_config(scheme)
     signal_args = argparse.Namespace(**vars(args))
     signal_args.real = real
@@ -621,13 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--input", help="file with one (complex) sample per line")
     submit.add_argument("--seed", type=int, default=None, help="seed for the synthetic input")
     submit.add_argument(
-        "--scheme", default="opt-online+mem",
+        "--scheme", default="opt-online+mem", type=_scheme_name,
         help="protection config in flag grammar, e.g. opt-online+mem+real "
              "(default: opt-online+mem)",
     )
     submit.add_argument(
         "--real", action="store_true",
-        help="send a real float64 signal (appends +real to --scheme)",
+        help="send a real float64 signal (adds the real flag to --scheme)",
     )
     submit.add_argument(
         "--repeat", type=int, default=1, metavar="N",

@@ -5,9 +5,10 @@ Layout
 
 ``checksums``
     The checksum algebra: the :math:`\\omega_3` computational checksum vector
-    of Wang & Jha, the closed-form input checksum vector ``rA``, the classic
-    and modified (Section 4.1) memory checksum pairs, and the
-    locate-and-correct procedure for memory errors.
+    of Wang & Jha (:math:`\\omega_p`, ``p`` the smallest odd prime not
+    dividing ``n``, when 3 divides ``n``), the closed-form input checksum
+    vector ``rA``, the classic and modified (Section 4.1) memory checksum
+    pairs, and the locate-and-correct procedure for memory errors.
 ``thresholds``
     Round-off error modelling and the selection of the detection threshold
     :math:`\\eta` (Section 8).

@@ -14,6 +14,15 @@ adopts the same vector.  ``rA`` has the closed form
 
 (Section 7.1.1) which avoids an :math:`O(N^2)` encoding step.
 
+When 3 divides ``N`` that vector degenerates: ``rA`` is zero except at
+``j = N/3``, and the check goes blind to errors inside the transform.  The
+weights therefore use ``omega_p`` with ``p`` the smallest *odd* prime not
+dividing ``N`` (:func:`checksum_prime`): ``p = 3`` for every ``N`` the paper
+measures (bit-identical to the paper's vector), ``p = 5`` for ``N = 6144``,
+``p = 7`` for ``N = 720``.  The closed form becomes
+``(1 - omega_p^N) / (1 - omega_p omega_N^j)``, whose denominator never
+vanishes because ``p`` does not divide ``N``.
+
 Memory checksums (Sections 3.2 and 4.1)
 ---------------------------------------
 A pair of weighted sums over a data vector allows a single corrupted element
@@ -36,6 +45,7 @@ from repro.utils.validation import ensure_positive_int
 
 __all__ = [
     "omega3",
+    "checksum_prime",
     "computational_weights",
     "roots_of_unity_naive",
     "roots_of_unity_split",
@@ -59,19 +69,38 @@ def omega3() -> complex:
     return complex(-0.5, np.sqrt(3.0) / 2.0)
 
 
-def computational_weights(n: int) -> np.ndarray:
-    """The computational checksum vector ``r = (omega_3^0, ..., omega_3^{n-1})``.
+def checksum_prime(n: int) -> int:
+    """The smallest odd prime ``p`` not dividing ``n`` (``r_j = omega_p^j``)."""
 
-    The powers of ``omega_3`` cycle with period 3, so the vector is built by
-    tiling the three exact values rather than by repeated multiplication
-    (which would accumulate rounding error over long vectors).
+    n = ensure_positive_int(n, name="n")
+    p = 3
+    while n % p == 0 or any(p % q == 0 for q in range(3, p, 2)):
+        p += 2
+    return p
+
+
+def _root_cycle(p: int) -> np.ndarray:
+    """``omega_p^t`` for ``t < p`` (the exact ``omega_3`` values for ``p = 3``)."""
+
+    if p == 3:
+        w3 = omega3()
+        return np.array([1.0 + 0.0j, w3, w3 * w3], dtype=np.complex128)
+    return np.exp(2j * np.pi * np.arange(p) / p)
+
+
+def computational_weights(n: int) -> np.ndarray:
+    """The computational checksum vector ``r = (omega_p^0, ..., omega_p^{n-1})``.
+
+    ``p`` is :func:`checksum_prime` (3 unless 3 divides ``n``).  The powers
+    of ``omega_p`` cycle with period ``p``, so the vector is built by tiling
+    the ``p`` values rather than by repeated multiplication (which would
+    accumulate rounding error over long vectors).
     """
 
     n = ensure_positive_int(n, name="n")
-    w3 = omega3()
-    cycle = np.array([1.0 + 0.0j, w3, w3 * w3], dtype=np.complex128)
-    reps = int(np.ceil(n / 3))
-    return np.tile(cycle, reps)[:n]
+    p = checksum_prime(n)
+    reps = -(-n // p)
+    return np.tile(_root_cycle(p), reps)[:n]
 
 
 def roots_of_unity_naive(n: int) -> np.ndarray:
@@ -107,22 +136,15 @@ def roots_of_unity_split(n: int) -> np.ndarray:
 
 
 def _input_checksum_from_roots(n: int, roots: np.ndarray) -> np.ndarray:
-    """Evaluate the closed form ``(1 - omega_3^n) / (1 - omega_3 * omega_n^j)``."""
+    """Evaluate the closed form ``(1 - omega_p^n) / (1 - omega_p * omega_n^j)``.
 
-    w3 = omega3()
-    numerator = 1.0 - w3 ** (n % 3)
-    denominator = 1.0 - w3 * roots
-    # The denominator vanishes only when omega_n^j == omega_3^{-1}, i.e. when
-    # 3 | n and j == n/3; there the geometric series sums to n exactly.  The
-    # singular entry is patched afterwards (3 does not divide a power of two,
-    # so the common case never takes the fix-up branch).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = numerator / denominator
-    if n % 3 == 0:
-        singular = np.abs(denominator) < 1e-9
-        if np.any(singular):
-            out[singular] = float(n)
-    return out
+    The denominator vanishes only when ``omega_p omega_n^j == 1``, which
+    needs ``p | n``; :func:`checksum_prime` rules that out.
+    """
+
+    p = checksum_prime(n)
+    w = complex(_root_cycle(p)[1])
+    return (1.0 - w ** (n % p)) / (1.0 - w * roots)
 
 
 def input_checksum_weights(n: int) -> np.ndarray:
@@ -158,10 +180,9 @@ def memory_weights_modified(
     operations in the paper's accounting).  The multiplier is 1-based so a
     fault in element 0 still produces a non-zero ratio.
 
-    When 3 divides ``n`` the closed form makes almost every ``(rA)_j`` zero,
-    which would destroy the locating ability; in that case the classic
-    weights are returned instead (power-of-two sizes, the paper's target,
-    never hit this).
+    A ``base`` with a (near-)zero entry would destroy the locating ability;
+    the classic weights are returned instead.  The closed-form ``rA`` never
+    has one: every entry has magnitude at least ``sin(pi / p)``.
     """
 
     n = ensure_positive_int(n, name="n")

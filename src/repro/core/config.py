@@ -127,16 +127,12 @@ class FTConfig:
         pair re-encoded onto the output side) instead of re-executing.
         Legacy registry names carry the flag as a ``+ip`` suffix
         (``"opt-online+mem+ip"``; composes as ``"...+real+ip"``).
-    native:
-        Native kernel tier (see :mod:`repro.fftlib.native`): the plan's
-        compiled stage programs dispatch their combine/base bodies to
-        generated C kernels loaded via ``ctypes`` - one GIL-free foreign
-        call per transform.  Requesting it never fails: with no C compiler,
-        a failed compile, or ``REPRO_NO_NATIVE=1`` the plan silently keeps
-        its pure-NumPy stage bodies (``FTPlan.describe()`` reports the
-        fallback).  Legacy registry names carry the flag as a ``+native``
-        suffix (``"opt-online+mem+native"``; composes as
-        ``"...+real+ip+native"``).
+
+    There is no kernel-tier field: fftlib plans always lower to the
+    executor's default programs, which run the generated-C stage bodies
+    (:mod:`repro.fftlib.native`) where they measure faster and the NumPy
+    bodies elsewhere.  A legacy ``+native`` name suffix still parses, to
+    the same config as the name without it.
     """
 
     kind: str = "online"
@@ -150,7 +146,6 @@ class FTConfig:
     backend: Optional[str] = None
     real: bool = False
     inplace: bool = False
-    native: bool = False
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
@@ -180,7 +175,6 @@ class FTConfig:
             raise TypeError("flags must be OptimizationFlags (or None)")
         object.__setattr__(self, "real", bool(self.real))
         object.__setattr__(self, "inplace", bool(self.inplace))
-        object.__setattr__(self, "native", bool(self.native))
 
     # ------------------------------------------------------------------
     # legacy-name conversions
@@ -193,18 +187,15 @@ class FTConfig:
         (``"opt-online+mem+real"``), a ``+ip`` suffix in-place execution
         (``"opt-online+mem+ip"``), a ``+numpy`` / ``+fftlib`` suffix the
         sub-FFT backend (``"opt-online+mem+numpy"`` runs the checksummed
-        pipeline on pocketfft), a ``+native`` suffix the generated-C kernel
-        tier (they compose as ``"...+real+ip+numpy+native"``);
+        pipeline on pocketfft); they compose as ``"...+real+ip+numpy"``.
+        A trailing ``+native`` (the retired kernel-tier flag) is accepted
+        and ignored, so old names select the same kernels as before.
         ``overrides`` set any other field (``m``, ``k``, ``thresholds``,
-        ``flags``, ``dtype``, ``backend``, ``real``, ``inplace``,
-        ``native``).  An unknown name raises ``KeyError``.
+        ``flags``, ``dtype``, ``backend``, ``real``, ``inplace``).  An
+        unknown name raises ``KeyError``.
         """
 
-        base = name
-        if base.endswith("+native"):
-            base = base[: -len("+native")]
-            if not overrides.get("native"):
-                overrides["native"] = True
+        base = name.removesuffix("+native")
         for backend_flag in _BACKEND_FLAGS:
             if base.endswith("+" + backend_flag):
                 base = base[: -len(backend_flag) - 1]
@@ -241,8 +232,6 @@ class FTConfig:
         # registered backend stays a programmatic-only knob, like dtype.
         if self.backend in _BACKEND_FLAGS:
             name += f"+{self.backend}"
-        if self.native:
-            name += "+native"
         return name
 
     def replace(self, **changes: Any) -> "FTConfig":
@@ -306,8 +295,6 @@ class FTConfig:
             parts.append("real=True")
         if self.inplace:
             parts.append("inplace=True")
-        if self.native:
-            parts.append("native=True")
         if self.dtype != "complex128":
             parts.append(f"dtype={self.dtype}")
         if self.backend is not None:

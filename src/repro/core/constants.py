@@ -2,7 +2,8 @@
 
 Every checksum weight vector the schemes use is a pure function of the
 transform size and the configuration - the computational vector ``r``
-(powers of ``omega_3``), the closed-form/naive input checksum encodings
+(powers of ``omega_p``, ``p = 3`` unless 3 divides the size), the
+closed-form/naive input checksum encodings
 ``rA``, the classic and modified memory-locating pairs, and the RMS
 magnitudes the threshold policy derives from the weight vectors.  The seed
 rebuilt all of them on *every* ``run()``; this module computes them exactly
@@ -244,8 +245,7 @@ class SchemeConstants:
         w1_n = w2_n = None
         if memory_ft:
             if optimized:
-                # Section 4.1: rA doubles as the first locating vector (the
-                # shared helper keeps the degenerate-weights guard for 3 | n).
+                # Section 4.1: rA doubles as the first locating vector.
                 w1_n, w2_n = memory_weights_modified(n, base=c_n)
             else:
                 w1_n, w2_n = memory_weights_classic(n)

@@ -136,10 +136,10 @@ class FTPlan:
         if self._protected:
             # Batched-protection state: end-to-end computational checksum
             # vector (c = rA) and, with memory FT, the locating pair
-            # (Section 4.1 reuse with the 3 | n degenerate-weights guard,
-            # all from the shared plan-time bundle).  Real plans additionally
-            # carry the conjugate-even fold of r onto the packed layout and
-            # a locating pair over the packed spectrum itself.
+            # (Section 4.1 reuse, all from the shared plan-time bundle).
+            # Real plans additionally carry the conjugate-even fold of r
+            # onto the packed layout and a locating pair over the packed
+            # spectrum itself.
             self._c = self.constants.c_n
             self._r = self.constants.r_n
             self._w1 = self.constants.w1_n
@@ -152,7 +152,7 @@ class FTPlan:
         if self._real and self.backend == "fftlib":
             from repro.fftlib.executor import get_real_program
 
-            self._real_program = get_real_program(self.n, native=config.native)
+            self._real_program = get_real_program(self.n)
         #: in-place execution (``FTConfig.inplace``): the compiled Stockham
         #: program behind the ``out=`` overwrite paths of ``execute`` /
         #: ``execute_many`` (complex plans, fftlib backend, supported sizes;
@@ -167,28 +167,22 @@ class FTPlan:
             from repro.fftlib.executor import get_stockham_program, stockham_supported
 
             if stockham_supported(self.n):
-                self._inplace_program = get_stockham_program(
-                    self.n, native=config.native
-                )
+                self._inplace_program = get_stockham_program(self.n)
         #: Compiled direct program for batched complex rows (fftlib backend):
         #: execute_many transforms the whole batch through the one-shot stage
         #: program instead of the two-layer pipeline.
         self._batch_program = None
-        #: Fused protected program (tentpole of the fused execution path):
-        #: protection compiled into the transform - per-stage taps, frozen
-        #: verification operators - used by the fault-free single-vector
-        #: ``execute``/``inverse``.  Live injectors always take the
-        #: paper-exact scheme path.
+        #: Fused protected program: the end-to-end check frozen around the
+        #: same lowered program (one cached object per size), used by the
+        #: fault-free single-vector ``execute``/``inverse``.  Live injectors
+        #: always take the paper-exact scheme path.
         self._fused_program = None
         self._fused_eta = None
         self._fused_eta_memory = None
         if not self._real and self.backend == "fftlib":
             from repro.fftlib.executor import get_program
 
-            # Native stage bodies for the batched fault-free path (the fused
-            # protected program keeps its own pure-NumPy lowering - its
-            # interleaved verification taps have no native kernels).
-            self._batch_program = get_program(self.n, native=config.native)
+            self._batch_program = get_program(self.n)
             if self._protected:
                 from repro.fftlib.planner import get_default_planner
                 from repro.fftlib.protected import get_protected_program
@@ -319,12 +313,15 @@ class FTPlan:
 
         if self._real:
             return self._inverse_real(spectrum, injector)
-        spectrum = np.asarray(spectrum, dtype=np.complex128)
-        result = self._execute_complex(np.conj(spectrum), injector)
-        output = np.conj(result.output) / self.n
-        return self._cast_result(
-            SchemeResult(output=output, report=result.report, scheme=result.scheme)
-        )
+        result = self._execute_complex(np.conj(spectrum, dtype=np.complex128), injector)
+        # conj(X) / n in place on the transform's own (fresh, contiguous
+        # complex128) result, through its float64 view: scale, then negate
+        # the imaginary parts.  Multiplying by 1/n is what numpy's complex
+        # division by a real n computes, so the values are the same.
+        parts = result.output.view(np.float64)
+        parts *= 1.0 / self.n
+        np.negative(parts[1::2], out=parts[1::2])
+        return self._cast_result(result)
 
     # ------------------------------------------------------------------
     # fused protected execution (fault-free fast path)
@@ -332,17 +329,13 @@ class FTPlan:
     def _execute_fused(self, x: np.ndarray) -> SchemeResult:
         """One vector through the fused protected program.
 
-        Protection compiled into the transform: the reference checksums for
-        every tap come from one :meth:`ProtectedStageProgram.encode` pass
-        (telescoping folds, ~2n complex ops), the transform itself is the
-        compiled stage program with per-stage tap reductions interleaved,
-        and all verification operators were frozen at plan time.  The
-        spectrum is bit-identical to the unprotected compiled transform;
-        the end-to-end check (``taps[-1]`` vs ``c . x``) is the paper's
-        offline verification with the exact thresholds the legacy scheme
-        uses.  Detected violations follow the same discipline as
-        :meth:`_protected_rfft`: memory-verify and repair the input via the
-        locating pair, then restart, up to the retry budget.
+        The paper's offline check around the plan's own lowering: encode
+        ``c . x`` (plus the locating pair with memory FT), run the program,
+        verify ``r . X`` against the reference with the exact thresholds
+        the legacy scheme uses.  The spectrum is bit-identical to the
+        unprotected program.  A detected violation memory-verifies and
+        repairs the input via the locating pair, then restarts, up to the
+        retry budget (the discipline of :meth:`_protected_rfft`).
         """
 
         prog = self._fused_program
@@ -357,8 +350,7 @@ class FTPlan:
         thresholds = self.thresholds
         memory = self.config.memory_ft
 
-        refs = prog.encode(x)
-        cx = complex(refs[-1])
+        cx = prog.encode(x)
         x_rms = thresholds.magnitude_rms(x)
         sigma0 = float(x_rms / np.sqrt(2.0))
         eta = self._fused_eta(sigma0)
@@ -381,7 +373,7 @@ class FTPlan:
             :meth:`_protected_rfft`.
             """
 
-            nonlocal x, private, refs, cx, s1
+            nonlocal x, private, cx, s1
             if not memory:
                 return True
             mem_residual = float(np.abs(weighted_sum(self._w1, x) - s1))
@@ -400,42 +392,23 @@ class FTPlan:
                     "memory-correct", "fused-input", None,
                     f"element {repaired[0]} repaired",
                 )
-                # The tap references were encoded from the pre-repair data
-                # and would otherwise flag every subsequent (correct) run.
-                refs = prog.encode(x)
-                cx = complex(refs[-1])
+                # The reference was encoded from the pre-repair data and
+                # would otherwise flag every subsequent (correct) run.
+                cx = prog.encode(x)
                 if prog.reuse_input_checksum:
                     s1 = cx
             return True
 
         attempts = 0
-        single_tap = len(prog.taps) == 1
         while True:
             attempts += 1
-            output, taps = prog.execute_tapped(x)
-            report.bump("verifications", len(prog.taps))
-            if single_tap:
-                # Scalar path: a Python float comparison with the same
-                # NaN-is-violation semantics as residual_exceeds.
-                final_residual = float(np.abs(taps[0] - refs[0]))
-                detected = not final_residual <= eta
-                report.record_verification(
-                    "fused-ccv", None, final_residual, eta, detected
-                )
-            else:
-                residuals = np.abs(taps - refs)
-                violations = residual_exceeds(residuals, eta)
-                detected = bool(violations.any())
-                report.record_verification(
-                    "fused-ccv", None, float(residuals[-1]), eta, bool(violations[-1])
-                )
-                if detected and not bool(violations[-1]):
-                    # Interior-only violation: the earliest flagged tap names
-                    # the first corrupted stage.
-                    stage = int(np.nonzero(violations)[0][0])
-                    report.record_verification(
-                        "fused-interior-ccv", stage, float(residuals[stage]), eta, True
-                    )
+            output, rx = prog.execute_tapped(x)
+            report.bump("verifications", 1)
+            # A Python float comparison with the same NaN-is-violation
+            # semantics as residual_exceeds.
+            residual = abs(rx - cx)
+            detected = not residual <= eta
+            report.record_verification("fused-ccv", None, residual, eta, detected)
             if not detected:
                 break
             if not _repair_input():
@@ -1083,9 +1056,8 @@ class FTPlan:
             # --- whole-batch transform + verification (real plans: packed
             # output, conjugate-even reduction).  The memory verification of
             # the input rows against their stored locating checksums catches
-            # input corruption even at the 3 | n sizes where the end-to-end
-            # vector rA is nearly degenerate and the computational residual
-            # is blind.
+            # input corruption the computational residual only sees after
+            # the transform.
             out = self._transform_rows(rows)
             injector.visit(FaultSite.OUTPUT, out)
             residuals = np.abs(self._output_checksum(out) - cx)
@@ -1351,8 +1323,9 @@ class FTPlan:
     def profile(self, x: np.ndarray) -> "ProfileResult":
         """Timed per-phase breakdown of one fault-free execution (diagnostic).
 
-        Times the checksum encode pass, each lowered transform stage, and
-        the fused tap verification of one execution and returns a
+        Times the checksum encode pass, each lowered transform stage (one
+        entry when the call runs the native kernels), and the end-to-end
+        verification of one execution and returns a
         :class:`repro.telemetry.profile.ProfileResult`.  Profiling is a
         diagnostic run outside the hot-path contract (it allocates and
         re-executes freely); the steady-state paths are untouched.
@@ -1394,16 +1367,16 @@ class FTPlan:
             fused.encode(xs)
             encode_seconds = time.perf_counter() - start
             entries.append(
-                ProfileEntry("encode (checksum references)", encode_seconds)
+                ProfileEntry("encode (input checksum c . x)", encode_seconds)
             )
             inner = fused.program.profile(xs)
             entries.extend(inner.entries)
             start = time.perf_counter()
-            output, _taps = fused.execute_tapped(xs)
+            output, _ = fused.execute_tapped(xs)
             tapped_seconds = time.perf_counter() - start
             entries.append(
                 ProfileEntry(
-                    "tap verification (fused checksum taps)",
+                    "verification (output checksum r . X)",
                     max(tapped_seconds - inner.total_seconds, 0.0),
                 )
             )
@@ -1411,9 +1384,9 @@ class FTPlan:
                 n=self.n,
                 description=self.describe(),
                 entries=tuple(entries),
-                # Same floor as the tap-verification entry's zero clamp:
+                # Same floor as the verification entry's zero clamp:
                 # sum(entries) == total even when the stage sub-profile
-                # measured slower than the tapped execution.
+                # measured slower than the checked execution.
                 total_seconds=encode_seconds + max(tapped_seconds, inner.total_seconds),
                 output=output,
             )
@@ -1443,17 +1416,14 @@ class FTPlan:
                 inplace = ", inplace-fallback(no Stockham lowering for this size)"
         else:
             inplace = ""
-        native = ""
-        if self.config.native:
-            from repro.fftlib.plan import _native_program_state
+        from repro.fftlib.plan import _native_program_state
 
-            native = ", native-fallback"
-            for program in (self._real_program, self._inplace_program, self._batch_program):
-                if program is None:
-                    continue
-                active, reason = _native_program_state(program)
-                native = ", native" if active else f", native-fallback({reason or 'not lowered'})"
-                break
+        native = ""
+        lowered = (self._real_program, self._inplace_program, self._batch_program)
+        program = next((p for p in lowered if p is not None), None)
+        if program is not None:
+            active, reason = _native_program_state(program)
+            native = ", native" if active else f", native-fallback({reason or 'not lowered'})"
         return (
             f"FTPlan(n={self.n} = {self.m} x {self.k}{real}{inplace}{native}, "
             f"scheme={self.scheme.name}, backend={self.backend}, dtype={self.dtype.name})"
@@ -1553,7 +1523,6 @@ def plan(n: int, config: Union[FTConfig, str, None] = None, **overrides: Any) ->
             backend=resolved,
             real=bool(config.real),
             inplace=bool(config.inplace),
-            native=bool(config.native),
         )
     return created
 

@@ -176,10 +176,7 @@ class OfflineABFT(FTScheme):
             s2 = weighted_sum(w2, x)
             if self.optimized and w1 is c:
                 # Section 4.1: rA doubles as the first locating vector, so
-                # one weighted sum serves both purposes.  (When 3 | n the
-                # plan-time constants fall back to the classic pair because
-                # rA is nearly degenerate there; then the computational
-                # checksum needs its own pass.)
+                # one weighted sum serves both purposes.
                 cx = s1
             else:
                 cx = weighted_sum(c, x)

@@ -26,11 +26,11 @@ about 99.7%.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "MANTISSA_BITS_DOUBLE",
@@ -153,7 +153,9 @@ class RoundoffModel:
         if sigma <= 0:
             return 1.0
         z = eta / (np.sqrt(n) * sigma)
-        return float(1.0 / (3.0 - 2.0 * norm.cdf(z)))
+        # the standard normal CDF, Phi(z) = erfc(-z / sqrt 2) / 2
+        phi = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        return float(1.0 / (3.0 - 2.0 * phi))
 
 
 class ThresholdMode(enum.Enum):

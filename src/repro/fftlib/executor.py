@@ -41,6 +41,13 @@ the buffer holds the full transform in natural order.
 Programs are cached per size in a thread-safe, size-bounded LRU (the same
 shape as the plan cache), so ``Plan`` construction and the
 ``fftlib`` backend share one compiled program per size.
+
+The cached getters lower with ``native=True`` by default: a call of at least
+``_NATIVE_MIN_ELEMENTS`` elements runs the generated-C stage bodies of
+:mod:`repro.fftlib.native` in one foreign call; smaller calls, and sizes the
+tier cannot serve or serves slower, run the NumPy bodies described above.
+The C lowering is resolved on first use, so a process whose calls stay below
+the crossover never loads (or, on a cold kernel cache, compiles) the library.
 """
 
 from __future__ import annotations
@@ -84,6 +91,16 @@ _DIRECT_PRIME_THRESHOLD = 61
 # Radix preference: large radices first so programs stay short (the BLAS
 # combine amortizes its call overhead over r butterfly points).
 _RADIX_PREFERENCE = (16, 8, 6, 5, 4, 3, 2)
+
+#: A native-lowered program dispatches a call to its generated-C kernels only
+#: when ``rows * n`` reaches this many elements.  Below it the foreign call's
+#: fixed cost loses to the NumPy stage bodies: measured on a 2-vCPU x86 host
+#: (numpy 2.4, OpenBLAS), power-of-two programs ran at 0.2-0.9x native below
+#: 1024 elements, 0.9-1.4x at 1024 and 1.0-2.0x from 2048 up.
+_NATIVE_MIN_ELEMENTS = 2048
+
+#: Serialises the first resolution of a program's native lowering.
+_native_lock = threading.Lock()
 
 
 def _choose_radix(n: int) -> int:
@@ -161,8 +178,9 @@ class StageProgram:
         "base_kind",
         "base_matrix",
         "stages",
-        "native",
-        "native_fallback_reason",
+        "_native",
+        "_native_reason",
+        "_native_pending",
     )
 
     def __init__(self, n: int, *, native: bool = False) -> None:
@@ -197,14 +215,38 @@ class StageProgram:
             )
             span *= radix
         self.stages: Tuple[Stage, ...] = tuple(stages)
-        #: native kernel lowering (generated C via ctypes), or ``None`` with
-        #: the fallback reason - requesting it never fails, it degrades.
-        self.native = None
-        self.native_fallback_reason = None
-        if native:
-            from repro.fftlib.native import build_native_program
+        self._native = None
+        self._native_reason = None
+        self._native_pending = bool(native)
 
-            self.native, self.native_fallback_reason = build_native_program(self)
+    @property
+    def native(self):
+        """The generated-C lowering, or ``None`` (see ``native_fallback_reason``).
+
+        Requesting it never fails, it degrades.  It is built on first use -
+        the first call of at least ``_NATIVE_MIN_ELEMENTS`` elements, or a
+        caller inspecting it - so the kernel library loads only then.
+        """
+
+        if self._native_pending:
+            self._resolve_native()
+        return self._native
+
+    @property
+    def native_fallback_reason(self) -> Optional[str]:
+        """Why a requested native lowering degraded to the NumPy bodies."""
+
+        if self._native_pending:
+            self._resolve_native()
+        return self._native_reason
+
+    def _resolve_native(self) -> None:
+        from repro.fftlib.native import build_native_program
+
+        with _native_lock:
+            if self._native_pending:
+                self._native, self._native_reason = build_native_program(self)
+                self._native_pending = False
 
     # ------------------------------------------------------------------
     def execute(self, x: np.ndarray) -> np.ndarray:
@@ -226,7 +268,7 @@ class StageProgram:
             # conforming (contiguous) callers
             xs = np.ascontiguousarray(xs)
 
-        native = self.native
+        native = self.native if batch * n >= _NATIVE_MIN_ELEMENTS else None
         if native is not None:
             # One foreign call per transform: generated C stage bodies, GIL
             # released for the call's duration (ctypes), result written into
@@ -333,14 +375,15 @@ class StageProgram:
                 output=current.reshape(shape),
             )
 
-        if self.native is not None:
+        native = self.native if batch * n >= _NATIVE_MIN_ELEMENTS else None
+        if native is not None:
             out = np.empty((batch, n), dtype=np.complex128)
             start = perf()
             if self.stages:
                 work_a, work_b = _work_buffers(batch * n)
-                self.native.execute(xs, out, work_a, work_b)
+                native.execute(xs, out, work_a, work_b)
             else:
-                self.native.execute(xs, out, None, None)
+                native.execute(xs, out, None, None)
             elapsed = perf() - start
             entries.append(
                 ProfileEntry("native kernel (one foreign call)", elapsed)
@@ -432,7 +475,7 @@ class StageProgram:
             )
         batch = data.shape[0]
 
-        native = self.native
+        native = self.native if batch * n >= _NATIVE_MIN_ELEMENTS else None
         if (
             native is not None
             and data.strides[-1] == data.itemsize
@@ -1128,13 +1171,17 @@ def _cached_program(key, factory):
         return created
 
 
-def get_program(n: int, *, native: bool = False) -> StageProgram:
+def get_program(n: int, *, native: bool = True) -> StageProgram:
     """The (cached) compiled stage program for an ``n``-point transform.
 
-    ``native=True`` requests the generated-C kernel lowering (a separate
-    cache entry); when the native tier is unavailable the returned program
-    silently keeps its pure-NumPy stage bodies and records the reason on
-    ``native_fallback_reason``.
+    The default lowering runs the generated-C stage bodies (see
+    :mod:`repro.fftlib.native`) for calls of at least
+    ``_NATIVE_MIN_ELEMENTS`` elements and the NumPy bodies below that.
+    When the tier cannot serve the size (``REPRO_NO_NATIVE=1``, no
+    compiler, a Bluestein base, an order the C kernels run slower or not
+    at all) the program keeps its NumPy bodies and records the reason on
+    ``native_fallback_reason``.  ``native=False`` asks for the NumPy bodies
+    explicitly (a separate cache entry: baselines and differential tests).
     """
 
     n = int(n)
@@ -1143,7 +1190,7 @@ def get_program(n: int, *, native: bool = False) -> StageProgram:
     return _cached_program(n, lambda: StageProgram(n))
 
 
-def get_real_program(n: int, *, native: bool = False) -> RealStageProgram:
+def get_real_program(n: int, *, native: bool = True) -> RealStageProgram:
     """The (cached) compiled real-to-complex program for ``n`` real samples.
 
     Shares the complex program LRU (keys are tagged), so a real program and
@@ -1158,7 +1205,7 @@ def get_real_program(n: int, *, native: bool = False) -> RealStageProgram:
     return _cached_program(("real", n), lambda: RealStageProgram(n))
 
 
-def get_stockham_program(n: int, *, native: bool = False) -> StockhamStageProgram:
+def get_stockham_program(n: int, *, native: bool = True) -> StockhamStageProgram:
     """The (cached) in-place Stockham program for an ``n``-point transform.
 
     Shares the program LRU under ``("stockham", n)`` keys; the half-length

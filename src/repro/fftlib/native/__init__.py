@@ -14,6 +14,7 @@ from repro.fftlib.native.cache import cache_dir, cache_stats
 from repro.fftlib.native.generator import (
     CODELET_RADICES,
     GENERATOR_VERSION,
+    GENERIC_BASE_MAX,
     generate_source,
 )
 from repro.fftlib.native.kernels import (
@@ -29,6 +30,7 @@ from repro.fftlib.native.kernels import (
 __all__ = [
     "CODELET_RADICES",
     "GENERATOR_VERSION",
+    "GENERIC_BASE_MAX",
     "generate_source",
     "cache_dir",
     "cache_stats",

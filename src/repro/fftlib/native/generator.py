@@ -16,10 +16,12 @@ compiled :class:`~repro.fftlib.executor.StageProgram` executes -
   precomputed ``(r, p)`` twiddle table, run the unrolled radix-``r``
   butterfly, scatter the ``t``-major outputs - where the pure-NumPy path
   pays one full twiddle pass plus one BLAS contraction per stage;
-* **generic fallbacks** ``base_generic`` / ``combine_generic`` driven by the
-  cached DFT matrix, covering every radix/base the planner can emit that has
-  no unrolled codelet (mixed-radix factors like 3/5/6, folded bases, direct
-  primes up to 61 - all bounded by :data:`MAX_GENERIC_ORDER`);
+* a **generic base** ``base_generic`` driven by the cached DFT matrix, for
+  the small base orders without an unrolled codelet (3, 5, 6, 7 - bounded
+  by :data:`GENERIC_BASE_MAX`).  Every program whose base is that small
+  combines with codelet radices only, so there is no generic combine:
+  :mod:`~repro.fftlib.native.kernels` keeps any other shape on the NumPy
+  stage bodies;
 * two **drivers**, ``repro_execute`` (out-of-place, ping-pong work buffers)
   and ``repro_execute_into`` (the two-buffer allocation-free discipline of
   :meth:`StageProgram.execute_into`), each a single C call per transform so
@@ -27,7 +29,7 @@ compiled :class:`~repro.fftlib.executor.StageProgram` executes -
 
 Everything is ``complex128`` stored interleaved (the NumPy memory layout),
 all pointers are ``restrict``, and nothing allocates - buffers, twiddle
-tables, and butterfly matrices are owned by the Python side and passed in.
+tables, and base DFT matrices are owned by the Python side and passed in.
 
 The emitted text is deterministic: the kernel cache keys compiled shared
 objects by a hash of this source plus the compiler identity, so bumping
@@ -44,25 +46,26 @@ __all__ = [
     "GENERATOR_VERSION",
     "NATIVE_ABI",
     "CODELET_RADICES",
-    "MAX_GENERIC_ORDER",
+    "GENERIC_BASE_MAX",
     "generate_source",
 ]
 
 #: Bump on any change to the emitted C (new kernels, changed signatures,
 #: changed loop structure) - it is folded into the kernel-cache key.
-GENERATOR_VERSION = "1"
+GENERATOR_VERSION = "2"
 
 #: ABI stamp compiled into the shared object and verified at load time, so a
 #: cache entry produced by an incompatible generator can never be dispatched.
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 
 #: Radices with fully unrolled straight-line butterflies.
 CODELET_RADICES = (2, 4, 8, 16, 32, 64)
 
-#: Largest radix/base order the generic matrix-driven kernels accept (the
-#: planner's direct bases are codelet-sized, folded products <= 64, or primes
-#: <= 61, so 64 covers every lowering; larger factors fall back to NumPy).
-MAX_GENERIC_ORDER = 64
+#: Largest base order lowered to the matrix-driven ``base_generic`` kernel.
+#: Past it the kernel's per-point O(base) loop loses to the NumPy batched
+#: matrix product: on a 2-vCPU x86 host (numpy 2.4, OpenBLAS) bases 5-7 ran
+#: 1.3-1.6x native, 10-12 at 0.95-1.1x and 21-60 at 0.3-0.8x.
+GENERIC_BASE_MAX = 8
 
 
 def _const(value: float) -> str:
@@ -225,14 +228,14 @@ _PRELUDE = f"""/* Generated by repro.fftlib.native.generator (version {GENERATOR
 #include <stdint.h>
 
 #define REPRO_NATIVE_ABI {NATIVE_ABI}
-#define MAX_GENERIC_ORDER {MAX_GENERIC_ORDER}
+#define GENERIC_BASE_MAX {GENERIC_BASE_MAX}
 
 int64_t repro_native_abi(void) {{ return REPRO_NATIVE_ABI; }}
 """
 
 _GENERIC = """
-/* Matrix-driven base kernel for orders without an unrolled codelet (small
- * primes, folded composite bases; order <= MAX_GENERIC_ORDER). */
+/* Matrix-driven base kernel for the small orders without an unrolled
+ * codelet (order <= GENERIC_BASE_MAX). */
 static void base_generic(const int64_t batch, const int64_t q, const int64_t base,
                          const double* restrict in, const int64_t in_rs,
                          const double* restrict mat,
@@ -242,8 +245,8 @@ static void base_generic(const int64_t batch, const int64_t q, const int64_t bas
         const double* restrict inb = in + 2 * b * in_rs;
         double* restrict outb = out + 2 * b * out_rs;
         for (int64_t j = 0; j < q; ++j) {
-            double zr[MAX_GENERIC_ORDER];
-            double zi[MAX_GENERIC_ORDER];
+            double zr[GENERIC_BASE_MAX];
+            double zi[GENERIC_BASE_MAX];
             for (int64_t s = 0; s < base; ++s) {
                 zr[s] = inb[2 * (s * q + j)];
                 zi[s] = inb[2 * (s * q + j) + 1];
@@ -259,55 +262,6 @@ static void base_generic(const int64_t batch, const int64_t q, const int64_t bas
                 }
                 outb[2 * (j * base + t)] = accr;
                 outb[2 * (j * base + t) + 1] = acci;
-            }
-        }
-    }
-}
-
-/* Matrix-driven combine stage for radices without an unrolled codelet
- * (radix <= MAX_GENERIC_ORDER; tw may be NULL for pre-twiddled input). */
-static void combine_generic(const int64_t batch, const int64_t r,
-                            const int64_t count, const int64_t p,
-                            const double* restrict in, const int64_t in_rs,
-                            const double* restrict tw,
-                            const double* restrict mat,
-                            double* restrict out, const int64_t out_rs)
-{
-    const int64_t sstr = count * p;
-    for (int64_t b = 0; b < batch; ++b) {
-        const double* restrict inb = in + 2 * b * in_rs;
-        double* restrict outb = out + 2 * b * out_rs;
-        for (int64_t c = 0; c < count; ++c) {
-            const double* restrict inc = inb + 2 * c * p;
-            double* restrict outc = outb + 2 * c * (r * p);
-            for (int64_t u = 0; u < p; ++u) {
-                double zr[MAX_GENERIC_ORDER];
-                double zi[MAX_GENERIC_ORDER];
-                for (int64_t s = 0; s < r; ++s) {
-                    const double xr = inc[2 * (s * sstr + u)];
-                    const double xi = inc[2 * (s * sstr + u) + 1];
-                    if (tw) {
-                        const double wr = tw[2 * (s * p + u)];
-                        const double wi = tw[2 * (s * p + u) + 1];
-                        zr[s] = xr * wr - xi * wi;
-                        zi[s] = xr * wi + xi * wr;
-                    } else {
-                        zr[s] = xr;
-                        zi[s] = xi;
-                    }
-                }
-                for (int64_t t = 0; t < r; ++t) {
-                    double accr = 0.0;
-                    double acci = 0.0;
-                    for (int64_t s = 0; s < r; ++s) {
-                        const double mr = mat[2 * (t * r + s)];
-                        const double mi = mat[2 * (t * r + s) + 1];
-                        accr += zr[s] * mr - zi[s] * mi;
-                        acci += zr[s] * mi + zi[s] * mr;
-                    }
-                    outc[2 * (t * p + u)] = accr;
-                    outc[2 * (t * p + u) + 1] = acci;
-                }
             }
         }
     }
@@ -372,24 +326,23 @@ static void run_base(const int64_t batch, const int64_t q, const int64_t base,
     base_generic(batch, q, base, in, in_rs, mat, out, out_rs);
 }}
 
+/* Only codelet radices reach here: kernels._program_obstacle keeps every
+ * program with another combine radix on the NumPy stage bodies. */
 static void run_combine(const int64_t radix, const int64_t span, const int64_t count,
                         const int64_t batch,
                         const double* restrict in, const int64_t in_rs,
-                        const double* restrict tw, const double* restrict mat,
+                        const double* restrict tw,
                         double* restrict out, const int64_t out_rs)
 {{
     const int64_t p = span;
-    if (!mat) {{
-        if (tw) switch (radix) {{
+    if (tw) switch (radix) {{
 {tw_cases}
-        default: break;
-        }}
-        else switch (radix) {{
-{plain_cases}
-        default: break;
-        }}
+    default: return;
     }}
-    combine_generic(batch, radix, count, p, in, in_rs, tw, mat, out, out_rs);
+    else switch (radix) {{
+{plain_cases}
+    default: return;
+    }}
 }}
 """
 
@@ -402,7 +355,7 @@ void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
                    const double* base_matrix, const int64_t nstages,
                    const int64_t* restrict radices, const int64_t* restrict spans,
                    const int64_t* restrict counts,
-                   const double* const* twiddles, const double* const* matrices,
+                   const double* const* twiddles,
                    const double* in, const int64_t in_rs,
                    double* out, const int64_t out_rs,
                    double* work_a, double* work_b)
@@ -422,7 +375,7 @@ void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
         if (i == nstages - 1) { dst = out; dst_rs = out_rs; }
         else { dst = bufs[(i + 1) & 1]; dst_rs = n; }
         run_combine(radices[i], spans[i], counts[i], batch,
-                    cur, cur_rs, twiddles[i], matrices[i], dst, dst_rs);
+                    cur, cur_rs, twiddles[i], dst, dst_rs);
         cur = dst;
         cur_rs = dst_rs;
     }
@@ -437,7 +390,7 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
                         const double* base_matrix, const int64_t nstages,
                         const int64_t* restrict radices, const int64_t* restrict spans,
                         const int64_t* restrict counts,
-                        const double* const* twiddles, const double* const* matrices,
+                        const double* const* twiddles,
                         double* data, const int64_t data_rs,
                         double* work, const int64_t work_rs)
 {
@@ -448,7 +401,7 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
         twiddle_mult(batch, radices[0], counts[0], spans[0],
                      work, work_rs, twiddles[0], data, data_rs);
         run_combine(radices[0], spans[0], counts[0], batch,
-                    data, data_rs, (const double*)0, matrices[0], work, work_rs);
+                    data, data_rs, (const double*)0, work, work_rs);
         i = 1;
     }
     const double* cur = work;
@@ -457,7 +410,7 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
         double* dst = (cur == work) ? data : work;
         const int64_t dst_rs = (cur == work) ? data_rs : work_rs;
         run_combine(radices[i], spans[i], counts[i], batch,
-                    cur, cur_rs, twiddles[i], matrices[i], dst, dst_rs);
+                    cur, cur_rs, twiddles[i], dst, dst_rs);
         cur = dst;
         cur_rs = dst_rs;
     }

@@ -23,10 +23,13 @@ exposes the capability gate the rest of the stack (and the reprolint
 
 Fallback is always correct and never raises: any reason the tier cannot
 serve a program (disabled, no compiler, compile failure, Bluestein base, a
-radix past the generic-kernel bound) is reported as a reason string, counted
-in the telemetry registry (``native_fallbacks``), and emitted as a
-``fallback`` trace event when tracing is on; the caller keeps the pure-NumPy
-stage bodies.
+combine radix without an unrolled kernel) or serves it slower than NumPy (a
+generic base order past :data:`~.generator.GENERIC_BASE_MAX`) is reported as
+a reason string, counted in the telemetry registry (``native_fallbacks``),
+and emitted as a ``fallback`` trace event when tracing is on; the caller
+keeps the pure-NumPy stage bodies.  The program's shape is checked before
+the library is touched, so a size the tier would not run never triggers the
+one-time compile.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
 from .cache import cache_dir, cache_stats, load_library, reset_cache_state
-from .generator import CODELET_RADICES, MAX_GENERIC_ORDER
+from .generator import CODELET_RADICES, GENERIC_BASE_MAX
 
 __all__ = [
     "native_supported",
@@ -99,7 +102,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
             _c64, _c64, _c64,            # batch, n, base
             _cvp, _c64,                  # base_matrix, nstages
             _cvp, _cvp, _cvp,            # radices, spans, counts
-            _cvp, _cvp,                  # twiddles**, matrices**
+            _cvp,                        # twiddles**
             _cvp, _c64,                  # in, in_rs
             _cvp, _c64,                  # out, out_rs
             _cvp, _cvp,                  # work_a, work_b
@@ -109,7 +112,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
             _c64, _c64, _c64,
             _cvp, _c64,
             _cvp, _cvp, _cvp,
-            _cvp, _cvp,
+            _cvp,
             _cvp, _c64,                  # data, data_rs
             _cvp, _c64,                  # work, work_rs
         ]
@@ -178,7 +181,6 @@ class NativeProgram:
         "_spans",
         "_counts",
         "_tw_ptrs",
-        "_mat_ptrs",
         "_refs",
     )
 
@@ -210,20 +212,13 @@ class NativeProgram:
         self._spans = np.array([s.span for s in stages], dtype=np.int64)
         self._counts = np.array([s.count for s in stages], dtype=np.int64)
         tw_addrs = []
-        mat_addrs = []
         for stage in stages:
+            # Combine radices are codelet radices (see _program_obstacle):
+            # the C side dispatches on the radix, only the twiddles travel.
             twiddle = np.ascontiguousarray(stage.twiddle, dtype=np.complex128)
             refs.append(twiddle)
             tw_addrs.append(twiddle.ctypes.data)
-            if stage.radix in CODELET_RADICES:
-                mat_addrs.append(0)
-            else:
-                matrix = np.ascontiguousarray(stage.matrix, dtype=np.complex128)
-                refs.append(matrix)
-                mat_addrs.append(matrix.ctypes.data)
-        count = max(self.nstages, 1)
-        self._tw_ptrs = (_cvp * count)(*(tw_addrs or [0]))
-        self._mat_ptrs = (_cvp * count)(*(mat_addrs or [0]))
+        self._tw_ptrs = (_cvp * max(self.nstages, 1))(*(tw_addrs or [0]))
         self._refs = tuple(refs)
 
     # ------------------------------------------------------------------
@@ -249,7 +244,6 @@ class NativeProgram:
             self._spans.ctypes.data,
             self._counts.ctypes.data,
             ctypes.addressof(self._tw_ptrs),
-            ctypes.addressof(self._mat_ptrs),
             xs.ctypes.data,
             self._row_stride(xs),
             out.ctypes.data,
@@ -272,7 +266,6 @@ class NativeProgram:
             self._spans.ctypes.data,
             self._counts.ctypes.data,
             ctypes.addressof(self._tw_ptrs),
-            ctypes.addressof(self._mat_ptrs),
             data.ctypes.data,
             self._row_stride(data),
             work.ctypes.data,
@@ -282,17 +275,21 @@ class NativeProgram:
 
 
 def _program_obstacle(program: Any) -> Optional[str]:
-    """Why ``program`` cannot run natively, or ``None`` when it can."""
+    """Why ``program`` should not run natively, or ``None`` when it should."""
 
     if program.base_kind == "bluestein":
         return "Bluestein base kernels run pure-NumPy (chirp convolution)"
-    if program.base > MAX_GENERIC_ORDER:
-        return f"base order {program.base} exceeds the generic kernel bound"
+    if program.base not in CODELET_RADICES and program.base > GENERIC_BASE_MAX:
+        return (
+            f"generic base order {program.base} runs faster as the NumPy "
+            f"matrix product"
+        )
     for stage in program.stages:
-        if stage.radix > MAX_GENERIC_ORDER:
-            return (
-                f"combine radix {stage.radix} exceeds the generic kernel bound"
-            )
+        # Unreachable through executor.lower (every base that passes the
+        # check above combines with radix 16 only); keeps the C dispatch
+        # total.
+        if stage.radix not in CODELET_RADICES:
+            return f"combine radix {stage.radix} has no unrolled kernel"
     return None
 
 
@@ -306,9 +303,9 @@ def build_native_program(
     """
 
     global _programs_built, _fallbacks
-    reason = native_unavailable_reason()
+    reason = _program_obstacle(program)
     if reason is None:
-        reason = _program_obstacle(program)
+        reason = native_unavailable_reason()
     if reason is not None:
         with _counter_lock:
             _fallbacks += 1

@@ -102,14 +102,16 @@ class Plan:
         overwrite *semantics* there via one out-of-place transform plus a
         copy back.
     native:
-        Native kernel tier (see :mod:`repro.fftlib.native`): the lowered
-        stage programs dispatch their combine/base bodies to generated C
-        kernels loaded via ``ctypes`` - one GIL-free foreign call per
-        transform.  Requesting it never fails: with no C compiler, a failed
-        compile, ``REPRO_NO_NATIVE=1``, or an unsupported program shape
-        (Bluestein bases) the plan silently keeps its pure-NumPy stage
-        bodies and :meth:`describe` reports the fallback reason.  Only the
-        ``fftlib`` backend lowers native programs (see
+        Native kernel tier (see :mod:`repro.fftlib.native`; on by
+        default): the lowered stage programs dispatch their combine/base
+        bodies to generated C kernels loaded via ``ctypes`` - one GIL-free
+        foreign call per transform of at least the executor's crossover
+        size.  It never fails: with no C compiler, a failed compile,
+        ``REPRO_NO_NATIVE=1``, or a program shape the C kernels cannot run
+        or run slower (Bluestein and large generic bases) the plan keeps
+        its pure-NumPy stage bodies and :meth:`describe` reports the
+        fallback reason.  ``native=False`` asks for the NumPy bodies.  Only
+        the ``fftlib`` backend lowers native programs (see
         :attr:`~repro.fftlib.backends.FFTBackend.supports_native`).
     """
 
@@ -119,7 +121,7 @@ class Plan:
     backend: Optional[str] = None
     real: bool = False
     inplace: bool = False
-    native: bool = False
+    native: bool = True
     #: ``"kind-fallback(reason)"`` notes for capability requests the planner
     #: could not honour (inplace/native collapsed by measurement or
     #: unsupported sizes); surfaced verbatim by :meth:`describe` and mirrored
@@ -325,19 +327,11 @@ class Plan:
         kind = "real, " if self.real else ""
         inplace = ", inplace" if self.inplace else ""
         native = ""
-        if self.native:
+        if self.native and self.program is not None:
+            # foreign backends run their own compiled kernels: nothing to report
             active, reason = _native_program_state(self.program)
-            if active:
-                native = ", native"
-            else:
-                if reason is None:
-                    reason = (
-                        "not lowered"
-                        if resolve_backend_name(self.backend) == "fftlib"
-                        else f"backend {backend} has no native lowering"
-                    )
-                native = f", native-fallback({reason})"
-        notes = "".join(f", {note}" for note in self.fallbacks if note != native)
+            native = ", native" if active else f", native-fallback({reason})"
+        notes = "".join(f", {note}" for note in self.fallbacks)
         return (
             f"Plan(n={self.n}, {kind}dir={self.direction.value}, backend={backend}"
             f"{inplace}{native}{notes}, radices={factors}, ~{self.flops:.0f} flops)"

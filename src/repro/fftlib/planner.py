@@ -90,7 +90,7 @@ class Planner:
         backend: Optional[str] = None,
         real: bool = False,
         inplace: bool = False,
-        native: bool = False,
+        native: bool = True,
     ) -> Plan:
         """Return a (cached) plan for an ``n``-point transform.
 
@@ -104,12 +104,14 @@ class Planner:
         caller asking for in-place execution *is* the memory-pressure
         signal - while MEASURE times ping-pong vs Stockham once and records
         the winner in wisdom.
-        ``native`` requests the generated-C kernel tier
-        (:mod:`repro.fftlib.native`); ESTIMATE honours the request whenever
-        the tier is available, MEASURE times native vs pure-NumPy stage
-        bodies once (recorded in wisdom) and keeps the winner.  The request
+        ``native`` (the default) lowers to the generated-C kernel tier
+        (:mod:`repro.fftlib.native`), whose programs run the C stage bodies
+        for calls past the executor's size crossover; ESTIMATE honours it
+        whenever the tier is available, MEASURE times native vs pure-NumPy
+        stage bodies once (recorded in wisdom) and keeps the winner.  It
         never fails: an unavailable tier silently keeps the pure-NumPy
         lowering and the plan's ``describe()`` reports why.
+        ``native=False`` requests the pure-NumPy lowering explicitly.
         """
 
         backend_name = resolve_backend_name(backend)
@@ -117,8 +119,8 @@ class Planner:
         requested_inplace, inplace_note = self._normalize_inplace(
             backend_name, real, inplace
         )
-        requested_native, native_note = self._normalize_native(backend_name, native)
-        request_notes = [note for note in (inplace_note, native_note) if note]
+        requested_native = self._normalize_native(backend_name, native)
+        request_notes = [inplace_note] if inplace_note else []
         key = (int(n), direction, backend_name, real, requested_inplace, requested_native)
         cached = self.wisdom.get(key)
         if cached is not None:
@@ -212,56 +214,53 @@ class Planner:
             )
         return True, None
 
-    def _normalize_native(
-        self, backend_name: str, native: bool
-    ) -> Tuple[bool, Optional[str]]:
-        """Resolve the requested ``native`` knob.
+    @staticmethod
+    def _normalize_native(backend_name: str, native: bool) -> bool:
+        """Resolve the ``native`` knob.
 
         Only backends advertising
         :attr:`~repro.fftlib.backends.FFTBackend.supports_native` lower the
-        generated-C stage bodies (foreign kernels are already compiled
-        code); everywhere else the knob is inert, mirroring ``inplace``.
-        Returns ``(flag, note)`` like :meth:`_normalize_inplace`.
+        generated-C stage bodies.  Foreign kernels are already compiled
+        code, so there the (default) request is silently inert: no
+        fallback note, unlike ``inplace``.
         """
 
-        if not native:
-            return False, None
-        if not getattr(get_backend(backend_name), "supports_native", False):
-            return False, (
-                f"native-fallback(backend '{backend_name}' has no native lowering)"
-            )
-        return True, None
+        return bool(native) and bool(
+            getattr(get_backend(backend_name), "supports_native", False)
+        )
 
     def _effective_native(
         self, n: int, native: bool, *, allow_timing: bool = True
     ) -> bool:
         """Whether the plan actually requests native-kernel stage bodies.
 
-        ESTIMATE mode honours any supported request (the lowering itself
-        still degrades silently if a specific program shape has no native
-        kernels).  MEASURE mode times native vs pure-NumPy stage bodies
-        once (recorded under ``native_measurements[str(n)]``, exported with
-        the wisdom) and keeps pure NumPy when it measured faster.
+        ESTIMATE mode honours any supported request without touching the
+        kernel library (the lowering itself degrades silently, with a
+        reason, if the tier or the program shape cannot run natively).
+        MEASURE mode times native vs pure-NumPy stage bodies once (recorded
+        under ``native_measurements[str(n)]``, exported with the wisdom)
+        and keeps pure NumPy when it measured faster.
         ``allow_timing=False`` (wisdom import) never benchmarks.
         """
 
-        if not native:
-            return False
+        if not native or self.policy is not PlannerPolicy.MEASURE:
+            return native
+        timings = self.native_measurements.get(str(n))
+        if timings and "native" in timings and "numpy" in timings:
+            return timings["native"] < timings["numpy"]
+        if not allow_timing:
+            return True
+        from repro.fftlib.executor import _NATIVE_MIN_ELEMENTS
         from repro.fftlib.native import native_supported
 
-        if not native_supported():
-            # The tier is down (no compiler / disabled): plan with the
-            # pure-NumPy lowering but keep the *request* so describe()
-            # reports the fallback instead of silently dropping the flag.
+        if n < _NATIVE_MIN_ELEMENTS or not native_supported():
+            # Nothing to race: a single call this small runs the NumPy
+            # bodies either way (the program still hands batches past the
+            # crossover to C), and a tier that is down (no compiler /
+            # disabled) keeps the *request* so describe() reports the
+            # fallback instead of silently dropping the flag.
             return True
-        if self.policy is PlannerPolicy.MEASURE:
-            timings = self.native_measurements.get(str(n))
-            if timings and "native" in timings and "numpy" in timings:
-                return timings["native"] < timings["numpy"]
-            if not allow_timing:
-                return True
-            return self._native_wins(n)
-        return True
+        return self._native_wins(n)
 
     def _native_wins(self, n: int) -> bool:
         """MEASURE mode: time native vs pure-NumPy stage bodies, remember."""
@@ -271,8 +270,8 @@ class Planner:
         if not timings or "native" not in timings or "numpy" not in timings:
             from repro.fftlib.executor import get_program
 
-            pure = get_program(n)
-            native_program = get_program(n, native=True)
+            pure = get_program(n, native=False)
+            native_program = get_program(n)
             if native_program.native is None:
                 # The size has no native lowering (e.g. Bluestein base):
                 # record nothing - there is no second candidate to race.
@@ -413,7 +412,7 @@ class Planner:
         n: int,
         real: bool = False,
         inplace: bool = False,
-        native: bool = False,
+        native: bool = True,
     ) -> Any:
         """The compiled :class:`~repro.fftlib.executor.StageProgram` for ``n``.
 
@@ -452,10 +451,12 @@ class Planner:
             self.native_measurements.clear()
 
     def export_wisdom(self) -> Dict[str, object]:
-        """Serialise wisdom as ``{"n:direction:backend[:real][:ip][:nat]": description}``.
+        """Serialise wisdom as ``{"n:direction:backend[:real][:ip][:pure]": description}``.
 
-        Each value describes what the key lowers to (the compiled program,
-        or the plan itself on foreign backends); :meth:`import_wisdom`
+        ``:pure`` marks an explicit ``native=False`` (pure-NumPy) request;
+        native is the default and carries no key part.  Each value
+        describes what the key lowers to (the compiled program, or the plan
+        itself on foreign backends); :meth:`import_wisdom`
         re-derives the lowering and ignores it.  The ping-pong-vs-Stockham,
         fused-vs-scheme, and native-vs-NumPy timings ride along under the
         reserved ``"__inplace_measurements__"`` /
@@ -471,8 +472,8 @@ class Planner:
                 key += ":real"
             if inplace:
                 key += ":ip"
-            if native:
-                key += ":nat"
+            if not native and self._normalize_native(backend, True):
+                key += ":pure"
             program = plan.program
             data[key] = program.describe() if program is not None else plan.describe()
         if self.inplace_measurements:
@@ -498,7 +499,9 @@ class Planner:
         default backend, three-field keys to ``real=False``, and snapshots
         that carry thread-count key parts (``":t2"``), strategy names, or
         ``"__measurements__"`` / ``"__thread_measurements__"`` /
-        ``"__programs__"`` entries import as ordinary serial plans.
+        ``"__programs__"`` entries import as ordinary serial plans.  Keys
+        without ``:pure`` (including the retired ``:nat`` part) import as
+        default, native-lowered plans.
         Importing re-lowers the stage programs, leaving the
         compiled-program cache warm as well.
         """
@@ -527,7 +530,7 @@ class Planner:
             extras = parts[3:]
             real = "real" in extras
             inplace = "ip" in extras
-            native = "nat" in extras
+            native = self._normalize_native(backend, "pure" not in extras)
             # plan lowering happens outside the lock (it may take the
             # executor's own program-cache lock); only the insert is guarded
             imported = Plan(
@@ -557,7 +560,7 @@ def plan_fft(
     backend: Optional[str] = None,
     real: bool = False,
     inplace: bool = False,
-    native: bool = False,
+    native: bool = True,
 ) -> Plan:
     """Convenience wrapper around the default planner."""
 

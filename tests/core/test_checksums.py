@@ -6,6 +6,7 @@ import pytest
 from repro.core.checksums import (
     ChecksumPair,
     MemoryChecksumVectors,
+    checksum_prime,
     computational_weights,
     input_checksum_weights,
     input_checksum_weights_naive,
@@ -35,6 +36,25 @@ class TestOmega3AndWeights:
         r = computational_weights(100)
         assert np.allclose(np.abs(r), 1.0)
 
+    @pytest.mark.parametrize(
+        "n, p", [(1, 3), (4096, 3), (1009, 3), (6144, 5), (12288, 5), (720, 7), (15015, 17)]
+    )
+    def test_checksum_prime_is_smallest_odd_prime_not_dividing_n(self, n, p):
+        assert checksum_prime(n) == p
+
+    @pytest.mark.parametrize("n", [7, 1009, 4096, 65536])
+    def test_sizes_three_does_not_divide_keep_the_papers_vectors_bitwise(self, n):
+        w3 = omega3()
+        cycle = np.array([1.0 + 0.0j, w3, w3 * w3])
+        assert np.array_equal(computational_weights(n), np.tile(cycle, n // 3 + 1)[:n])
+        closed = (1.0 - w3 ** (n % 3)) / (1.0 - w3 * roots_of_unity_split(n))
+        assert np.array_equal(input_checksum_weights(n), closed)
+
+    def test_weights_switch_to_omega_p_when_three_divides_n(self):
+        r = computational_weights(12)
+        w5 = np.exp(2j * np.pi / 5)
+        assert np.allclose(r, w5 ** np.arange(12))
+
 
 class TestRootsOfUnity:
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 100, 257])
@@ -55,11 +75,14 @@ class TestInputChecksumWeights:
 
     @pytest.mark.parametrize("n", [3, 6, 9, 12, 48])
     def test_multiple_of_three_sizes(self, n):
-        """3 | n makes the geometric series degenerate; the closed form must
-        still match the exact matrix product (one huge element, zeros elsewhere)."""
+        """3 | n switches r to omega_p (p the smallest odd prime not dividing
+        n): the closed form must match the exact matrix product and, unlike
+        omega_3 there, have no zero entry."""
 
         expected = computational_weights(n) @ dft_matrix(n)
-        assert np.allclose(input_checksum_weights(n), expected, atol=1e-7)
+        c = input_checksum_weights(n)
+        assert np.allclose(c, expected, atol=1e-9)
+        assert np.min(np.abs(c)) >= np.sin(np.pi / checksum_prime(n)) - 1e-12
 
     def test_checksum_identity_on_random_input(self, random_complex):
         """The defining ABFT identity: r . (A x) == (r A) . x."""
@@ -83,9 +106,14 @@ class TestMemoryWeights:
         assert np.allclose(w1, input_checksum_weights(n))
         assert np.allclose(w2, w1 * np.arange(1, n + 1))
 
-    def test_modified_weights_fall_back_when_three_divides_n(self):
+    def test_modified_weights_stay_modified_when_three_divides_n(self):
         w1, w2 = memory_weights_modified(12)
-        classic = memory_weights_classic(12)
+        assert np.allclose(w1, input_checksum_weights(12))
+        assert np.allclose(w2, w1 * np.arange(1, 13))
+
+    def test_modified_weights_fall_back_for_a_degenerate_base(self):
+        w1, w2 = memory_weights_modified(4, base=np.array([1, 0, 1, 1], dtype=complex))
+        classic = memory_weights_classic(4)
         assert np.allclose(w1, classic[0])
         assert np.allclose(w2, classic[1])
 

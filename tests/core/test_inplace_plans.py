@@ -42,7 +42,7 @@ class TestConfigRoundTrip:
             "fftw+ip",
             "opt-online+mem+real+ip",
             "opt-online+mem+ip+numpy",
-            "opt-online+mem+real+ip+native",
+            "opt-online+mem+real+ip+fftlib",
         ],
     )
     def test_ip_suffix_round_trips(self, name):
@@ -50,10 +50,12 @@ class TestConfigRoundTrip:
         assert config.inplace
         assert config.to_name() == name
 
-    def test_suffix_order_is_real_then_ip_then_backend_then_native(self):
-        config = FTConfig(real=True, inplace=True, backend="numpy", native=True)
-        assert config.to_name() == "opt-online+mem+real+ip+numpy+native"
+    def test_suffix_order_is_real_then_ip_then_backend(self):
+        config = FTConfig(real=True, inplace=True, backend="numpy")
+        assert config.to_name() == "opt-online+mem+real+ip+numpy"
         assert FTConfig.from_name(config.to_name()) == config
+        # the retired kernel-tier flag still parses, to the same config
+        assert FTConfig.from_name("opt-online+mem+real+ip+numpy+native") == config
 
     def test_explicit_override_composes_with_plain_name(self):
         config = FTConfig.from_name("opt-online+mem", inplace=True)

@@ -120,7 +120,7 @@ class TestBackendSeam:
         assert "32:forward:numpy" in data
         other = Planner()
         other.import_wisdom({"16:forward": "mixed-radix"})  # legacy two-field key
-        assert other.plan(16) is other.wisdom[(16, PlanDirection.FORWARD, "fftlib", False, False, False)]
+        assert other.plan(16) is other.wisdom[(16, PlanDirection.FORWARD, "fftlib", False, False, True)]
 
     def test_schemes_accept_backend(self, random_complex, spectra_close):
         from repro.core.offline import OfflineABFT

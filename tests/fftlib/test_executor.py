@@ -183,9 +183,9 @@ class TestProgramCache:
         real_cls = executor.StageProgram
 
         class Counting(real_cls):
-            def __init__(self, n):
+            def __init__(self, n, **kwargs):
                 compiled.append(n)
-                super().__init__(n)
+                super().__init__(n, **kwargs)
 
         monkeypatch.setattr(executor, "StageProgram", Counting)
         n = 3 * 5 * 7 * 11  # a size nothing else compiles
@@ -212,7 +212,7 @@ class TestProgramCache:
         real_cls = executor.StageProgram
 
         class FlakyOnce(real_cls):
-            def __init__(self, n):
+            def __init__(self, n, **kwargs):
                 calls.append(n)
                 if len(calls) == 1:
                     raise RuntimeError("transient compile failure")

@@ -1,12 +1,15 @@
 """Differential tests: the fused protected program vs the legacy scheme path.
 
-The fused path (PR tentpole) compiles the ABFT into the transform; these
-tests pin down the equivalences that make that safe:
+The fused path wraps the plan's own lowering in the paper's end-to-end
+check; these tests pin down the equivalences that make that safe:
 
-* the fused spectrum is *bitwise* identical to the unprotected compiled
-  ``StageProgram`` (same kernels, same scratch, same write order);
-* the end-to-end reference checksum (``refs[-1]``) is bitwise identical to
-  the legacy scheme's ``c . x`` (same operators from the same constants);
+* the fused spectrum is *bitwise* identical to the plan's own program
+  (``get_program(n)``, the object ``execute_many`` runs too);
+* the reference checksum ``c . x`` is bitwise identical to the legacy
+  scheme's (same operators from the same constants);
+* the one check covers every stage boundary: analytically (the weight of
+  every intermediate element in ``r . X`` is non-zero) and by injection (a
+  bump after any stage of the NumPy lowering is detected and undone);
 * the detection thresholds are bitwise identical between the paths (the
   plan-time threshold closures reproduce ``eta_offline`` / ``eta_memory``
   exactly);
@@ -24,12 +27,12 @@ import repro
 from repro.core.checksums import weighted_sum
 from repro.core.config import FTConfig
 from repro.core.constants import SchemeConstants
-from repro.core.ftplan import clear_plan_cache
+from repro.core.ftplan import FTPlan, clear_plan_cache
 from repro.core.thresholds import ThresholdMode, ThresholdPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
-from repro.fftlib import protected as protected_mod
-from repro.fftlib.executor import get_program
+from repro.fftlib import executor
+from repro.fftlib.executor import clear_program_cache, get_program
 from repro.fftlib.protected import ProtectedStageProgram, get_protected_program
 
 # codelet-only, mixed-radix, and prime (Bluestein) sizes
@@ -57,6 +60,11 @@ class TestFusedSpectrum:
         assert np.array_equal(fused, direct)
 
     @pytest.mark.parametrize("n", SIZES)
+    def test_fused_and_batched_paths_share_one_program(self, n):
+        p = repro.plan(n)
+        assert p._fused_program.program is p._batch_program is get_program(n)
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_matches_legacy_scheme_within_roundoff(self, n):
         x = _data(n)
         p = repro.plan(n)
@@ -73,16 +81,20 @@ class TestFusedSpectrum:
         back = p.inverse(spectrum).output
         assert np.allclose(back, x, rtol=1e-10, atol=1e-10)
 
-    def test_interior_taps_execute_bitwise_identical_too(self, monkeypatch):
-        monkeypatch.setattr(protected_mod, "_INTERIOR_TAP_MIN", 256)
-        n = 4096
+    @pytest.mark.parametrize("n", [1, 720, 4096, 262144])
+    def test_in_place_inverse_equals_conj_of_forward_over_n(self, n):
+        spectrum = _data(n, seed=3)
+        p = repro.plan(n)
+        forward = p.execute(np.conj(spectrum)).output
+        assert np.array_equal(p.inverse(spectrum).output, np.conj(forward) / n)
+
+    @pytest.mark.parametrize("n", [720, 4096, 262144])
+    def test_execute_tapped_is_the_program_plus_one_dot(self, n):
         prog = ProtectedStageProgram.build(n, optimized=True, memory_ft=True)
-        assert len(prog.taps) > 1
         x = _data(n)
-        out, taps = prog.execute_tapped(x)
-        direct = get_program(n).execute(x.reshape(1, n)).reshape(n)
-        assert np.array_equal(out, direct)
-        assert taps.shape == (len(prog.taps),)
+        out, rx = prog.execute_tapped(x)
+        assert np.array_equal(out, get_program(n).execute(x))
+        assert rx == complex(np.dot(prog.r, out))
 
 
 class TestReferenceChecksums:
@@ -93,9 +105,9 @@ class TestReferenceChecksums:
         consts = SchemeConstants.for_config(n, config)
         prog = get_protected_program(n, optimized=optimized, memory_ft=True)
         x = _data(n)
-        refs = prog.encode(x)
         assert np.array_equal(prog.c, consts.c_n)
-        assert complex(refs[-1]) == complex(weighted_sum(consts.c_n, x))
+        assert np.array_equal(prog.r, consts.r_n)
+        assert prog.encode(x) == complex(weighted_sum(consts.c_n, x))
 
     def test_memory_pair_matches_scheme_constants(self):
         n = 720
@@ -105,28 +117,27 @@ class TestReferenceChecksums:
         assert np.array_equal(prog.w2, consts.w2_n)
         assert prog.w1_rms == consts.w1_n_rms
 
-    def test_interior_references_telescope_correctly(self, monkeypatch):
-        monkeypatch.setattr(protected_mod, "_INTERIOR_TAP_MIN", 256)
-        n = 4096
-        prog = ProtectedStageProgram.build(n, optimized=True, memory_ft=True)
-        x = _data(n)
-        refs = prog.encode(x)
-        for i, tap in enumerate(prog.taps):
-            fold = x.reshape(tap.span, -1).sum(axis=1)
-            direct_ref = np.dot(tap.encode, fold)
-            assert np.isclose(refs[i], direct_ref, rtol=1e-12, atol=0.0)
+    @pytest.mark.parametrize("n", [4096, 6144, 1009])
+    def test_encoding_is_r_times_the_dft_matrix(self, n):
+        """``c = r A`` column by column: ``c . e_j`` is ``r . DFT(e_j)``."""
 
-    def test_interior_taps_verify_clean_data(self, monkeypatch):
-        """Tap values agree with the telescoped references on clean input."""
+        prog = get_protected_program(n, optimized=True, memory_ft=True)
+        columns = np.random.default_rng(n).integers(0, n, 8)
+        for j in columns:
+            unit = np.zeros(n, dtype=complex)
+            unit[j] = 1.0
+            spectrum = get_program(n, native=False).execute(unit)
+            assert np.isclose(prog.c[j], np.dot(prog.r, spectrum), rtol=1e-9, atol=1e-9)
 
-        monkeypatch.setattr(protected_mod, "_INTERIOR_TAP_MIN", 256)
-        n = 4096
-        prog = ProtectedStageProgram.build(n, optimized=True, memory_ft=True)
+    @pytest.mark.parametrize("n", [720, 4096, 6144, 262144])
+    def test_check_verifies_clean_data(self, n):
+        """The output checksum agrees with the reference on clean input."""
+
+        prog = get_protected_program(n, optimized=True, memory_ft=True)
         x = _data(n)
-        refs = prog.encode(x)
-        _, taps = prog.execute_tapped(x)
+        _, rx = prog.execute_tapped(x)
         scale = float(np.sqrt(n)) * float(np.linalg.norm(x))
-        assert np.all(np.abs(taps - refs) < 1e-10 * scale)
+        assert abs(rx - prog.encode(x)) < 1e-10 * scale
 
 
 class TestThresholdEquivalence:
@@ -253,14 +264,13 @@ class TestFusedRecovery:
         original = ProtectedStageProgram.execute_tapped
 
         def corrupt_output_once(self, x):
-            out, taps = original(self, x)
+            out, rx = original(self, x)
             state["hits"] += 1
             if state["hits"] == 1:
                 out = out.copy()
                 out[3] += 1e6  # computational fault in the transform
-                taps = taps.copy()
-                taps[-1] = np.dot(self.taps[-1].weights, out)
-            return out, taps
+                rx = complex(np.dot(self.r, out))
+            return out, rx
 
         monkeypatch.setattr(
             ProtectedStageProgram, "execute_tapped", corrupt_output_once
@@ -280,12 +290,10 @@ class TestFusedRecovery:
         original = ProtectedStageProgram.execute_tapped
 
         def always_corrupt(self, x):
-            out, taps = original(self, x)
+            out, _ = original(self, x)
             out = out.copy()
             out[3] += 1e6
-            taps = taps.copy()
-            taps[-1] = np.dot(self.taps[-1].weights, out)
-            return out, taps
+            return out, complex(np.dot(self.r, out))
 
         monkeypatch.setattr(ProtectedStageProgram, "execute_tapped", always_corrupt)
         result = p._execute_fused(_data(n))
@@ -308,3 +316,124 @@ class TestBatchAmortization:
         assert np.array_equal(
             pol.component_sigma_rows(rows), pol._component_sigma_rows(rows)
         )
+
+
+#: sizes of the coverage claim: 3 | n (720, 6144, 12288, 196608) and powers
+#: of two, with and without a radix-16 tail
+COVERAGE_SIZES = [720, 4096, 6144, 12288, 196608, 262144]
+
+
+def _boundaries(program):
+    """``(span L, rows count)`` of the state after the base and each stage."""
+
+    spans = [program.base] + [stage.radix * stage.span for stage in program.stages]
+    return [(span, program.n // span) for span in spans]
+
+
+class _BumpAfter:
+    """numpy as the executor module sees it, except that the ``boundary``-th
+    ``matmul`` of the run (0 = the base kernel, then one per combine stage)
+    adds 1 to one element of row ``row`` of the state it writes, once."""
+
+    def __init__(self, boundary, row, element):
+        self.boundary, self.row, self.element = boundary, row, element
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        result = np.matmul(a, b, out=out)
+        if self.calls == self.boundary:
+            state = result[self.row]
+            state[np.unravel_index(self.element % state.size, state.shape)] += 1.0
+        self.calls += 1
+        return result
+
+
+@pytest.fixture
+def numpy_lowering(monkeypatch):
+    """Plans built inside the test lower to the NumPy stage bodies."""
+
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    clear_program_cache()
+    yield
+    # drop the NumPy-bodied programs cached under the default keys
+    clear_program_cache()
+    clear_plan_cache()
+
+
+class TestStageCoverage:
+    """The end-to-end check sees an error after any stage of the transform."""
+
+    @pytest.mark.parametrize("n", COVERAGE_SIZES)
+    def test_every_stage_boundary_has_nonzero_weight(self, n):
+        # An error e in element k' of row b after the stage of span L moves
+        # r . X by e * sum_t r[k' + t L] omega_count^(b t): a DFT over t.
+        prog = get_protected_program(n, optimized=True, memory_ft=True)
+        program = get_program(n, native=False)
+        assert program.stages, "the claim is about interior stage boundaries"
+        for span, count in _boundaries(program):
+            rows = prog.r.reshape(count, span)
+            # reprolint: fft-ok - independent oracle for the weights
+            weights = np.abs(np.fft.fft(rows, axis=0))
+            assert weights.min() > 0.4, (n, span, float(weights.min()))
+
+    @pytest.mark.parametrize("n", COVERAGE_SIZES)
+    def test_bump_after_any_stage_is_detected_and_restarted(
+        self, n, numpy_lowering, monkeypatch
+    ):
+        p = FTPlan(n)
+        assert p._fused_program.program.native is None
+        rng = np.random.default_rng(n)
+        x = _data(n, seed=n)
+        clean = p.execute(x).output
+        for boundary in range(len(_boundaries(p._fused_program.program))):
+            for _ in range(20):
+                bump = _BumpAfter(boundary, 0, int(rng.integers(0, n)))
+                monkeypatch.setattr(executor, "np", bump)
+                result = p.execute(x)
+                monkeypatch.undo()
+                assert bump.calls > boundary
+                report = result.report
+                detected = [v for v in report.verifications if v.detected]
+                assert detected, (n, boundary, bump.element)
+                assert [c.kind for c in report.corrections] == ["restart"]
+                assert not report.uncorrectable
+                assert np.array_equal(result.output, clean)
+
+    @pytest.mark.parametrize("n", COVERAGE_SIZES)
+    def test_bump_in_a_batch_row_is_detected_and_recomputed(
+        self, n, numpy_lowering, monkeypatch
+    ):
+        p = FTPlan(n)
+        rng = np.random.default_rng(n + 1)
+        X = np.stack([_data(n, seed=s) for s in range(2)])
+        clean = p.execute_many(X).output
+        # the recovery re-runs the row under the full scheme: fewer trials
+        # at the sizes where that costs tens of milliseconds
+        trials = 20 if n <= 12288 else 3
+        for boundary in range(len(_boundaries(p._batch_program))):
+            for _ in range(trials):
+                bump = _BumpAfter(boundary, 1, int(rng.integers(0, n)))
+                monkeypatch.setattr(executor, "np", bump)
+                result = p.execute_many(X)
+                monkeypatch.undo()
+                assert result.fallback_rows == (1,), (n, boundary, bump.element)
+                assert "recompute" in [c.kind for c in result.report.corrections]
+                assert not result.uncorrectable
+                assert np.array_equal(result.output[0], clean[0])
+                assert np.allclose(result.output[1], clean[1], rtol=1e-9, atol=1e-9)
+
+
+class TestLowering:
+    def test_protected_plan_uses_numpy_bodies_without_the_native_tier(self, numpy_lowering):
+        n = 4096
+        p = FTPlan(n)
+        program = p._fused_program.program
+        assert program.native is None
+        assert "REPRO_NO_NATIVE" in program.native_fallback_reason
+        x = _data(n)
+        expected = get_program(n, native=False).execute(x)
+        assert np.array_equal(p.execute(x).output, expected)
+        assert "native-fallback" in p.describe()

@@ -1,19 +1,23 @@
 """Tests for the generated-C native kernel tier.
 
-The contract under test: requesting ``native=True`` anywhere in the stack
-NEVER changes results (differential equivalence against the pure-NumPy
-stage bodies) and NEVER fails (graceful fallback with a reason when the
-tier cannot run).  The compile-once kernel cache is exercised across
-processes, including the concurrent first-compile stampede.
+The contract under test: the native lowering (the default) NEVER changes
+results (differential equivalence against the pure-NumPy stage bodies) and
+NEVER fails (graceful fallback with a reason when the tier cannot run); the
+executor hands a call to the C kernels only past the size crossover and
+only for shapes they run faster.  The compile-once kernel cache is
+exercised across processes, including the concurrent first-compile
+stampede.
 """
 
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.fftlib import executor
 from repro.fftlib import native as native_mod
 from repro.fftlib.executor import (
     RealStageProgram,
@@ -22,12 +26,13 @@ from repro.fftlib.executor import (
     get_program,
 )
 from repro.fftlib.native import (
+    GENERIC_BASE_MAX,
     build_native_program,
     native_info,
     native_supported,
     native_unavailable_reason,
 )
-from repro.fftlib.planner import Planner, plan_fft
+from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft
 
 HAVE_NATIVE = native_supported()
 
@@ -35,8 +40,10 @@ needs_native = pytest.mark.skipif(
     not HAVE_NATIVE, reason="no usable C compiler / native tier disabled"
 )
 
-#: codelet bases, generic odd radices, large mixed-radix, small prime
-DIFFERENTIAL_SIZES = [2, 8, 16, 64, 96, 360, 500, 1000, 2187, 4096, 5040, 61, 121]
+#: sizes the default lowering runs on the C kernels: codelet bases, the
+#: small generic bases (3, 5, 6, 7) alone and under radix-16 combines, zero to
+#: three combine stages
+NATIVE_SIZES = [2, 3, 5, 6, 7, 8, 16, 64, 96, 1536, 4096, 20480, 24576]
 
 
 def _rng(n):
@@ -44,43 +51,77 @@ def _rng(n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _rows_past_crossover(n):
+    """Fewest rows of length ``n`` the executor hands to the C kernels."""
+
+    return -(-executor._NATIVE_MIN_ELEMENTS // n)
+
+
+def _batch(n, rows, seed=99):
+    rng = np.random.default_rng(seed + n)
+    return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Rows of each call that reached a C driver (either entry point)."""
+
+    calls = []
+    for name in ("execute", "execute_into"):
+        original = getattr(native_mod.NativeProgram, name)
+
+        def counting(self, *args, _original=original):
+            calls.append(args[0].shape[0])
+            return _original(self, *args)
+
+        monkeypatch.setattr(native_mod.NativeProgram, name, counting)
+    return calls
+
+
 class TestDifferentialEquivalence:
     """Native and pure lowerings must agree to near machine precision."""
 
     @needs_native
-    @pytest.mark.parametrize("n", DIFFERENTIAL_SIZES)
-    def test_complex_forward_matches_pure(self, n):
-        x = _rng(n)
-        pure = StageProgram(n).execute(x)
-        native = StageProgram(n, native=True)
-        assert native.native is not None, native.native_fallback_reason
-        scale = np.max(np.abs(pure))
-        assert np.allclose(native.execute(x), pure, atol=1e-12 * scale)
-
-    @needs_native
-    @pytest.mark.parametrize("n", [256, 360, 4096])
-    def test_batched_matches_pure(self, n):
-        rng = np.random.default_rng(99)
-        X = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    @pytest.mark.parametrize("n", NATIVE_SIZES)
+    def test_complex_forward_matches_pure(self, n, kernel_calls):
+        rows = _rows_past_crossover(n)
+        X = _batch(n, rows, seed=1234)
         pure = StageProgram(n).execute(X)
         native = StageProgram(n, native=True).execute(X)
+        assert kernel_calls == [rows]
         assert np.allclose(native, pure, atol=1e-12 * np.max(np.abs(pure)))
 
     @needs_native
-    @pytest.mark.parametrize("n", [16, 4096, 1000, 360])
-    def test_real_program_matches_pure(self, n):
-        xr = np.random.default_rng(7).standard_normal(n)
+    @pytest.mark.parametrize("n", [256, 1536, 4096])
+    def test_batched_matches_pure(self, n, kernel_calls):
+        rows = max(5, _rows_past_crossover(n))
+        X = _batch(n, rows)
+        pure = StageProgram(n).execute(X)
+        native = StageProgram(n, native=True).execute(X)
+        assert kernel_calls == [rows]
+        assert np.allclose(native, pure, atol=1e-12 * np.max(np.abs(pure)))
+
+    @needs_native
+    @pytest.mark.parametrize("n", [16, 192, 4096, 40960])
+    def test_real_program_matches_pure(self, n, kernel_calls):
+        rows = _rows_past_crossover(n // 2)
+        xr = np.random.default_rng(7).standard_normal((rows, n))
         pure = RealStageProgram(n).execute(xr)
         native = RealStageProgram(n, native=True).execute(xr)
+        assert kernel_calls == [rows]
         assert np.allclose(native, pure, atol=1e-12 * np.max(np.abs(pure)))
 
     @needs_native
-    @pytest.mark.parametrize("n", [16, 256, 4096, 1000])
-    def test_inplace_stockham_matches_pure(self, n):
-        x = _rng(n)
-        pure = StockhamStageProgram(n).execute(x)
-        buf = np.array(x)
+    @pytest.mark.parametrize("n", [16, 256, 3072, 4096])
+    def test_inplace_stockham_matches_pure(self, n, kernel_calls):
+        # half lengths 8, 128, 1536, 2048: zero, one (the C driver's odd
+        # staging pass) and two combine stages
+        rows = _rows_past_crossover(n // 2)
+        X = _batch(n, rows, seed=1234)
+        pure = StockhamStageProgram(n).execute(X)
+        buf = np.array(X)
         StockhamStageProgram(n, native=True).execute_inplace(buf)
+        assert kernel_calls and set(kernel_calls) == {rows}
         assert np.allclose(buf, pure, atol=1e-12 * np.max(np.abs(pure)))
 
     @needs_native
@@ -96,15 +137,138 @@ class TestDifferentialEquivalence:
         assert np.allclose(program.execute(x), pure, atol=1e-12 * np.max(np.abs(pure)))
 
     @needs_native
-    def test_plan_level_native_roundtrip(self):
+    def test_plan_level_native_roundtrip(self, kernel_calls):
         n = 4096
         x = _rng(n)
         plan = plan_fft(n, backend="fftlib", native=True)
         reference = StageProgram(n).execute(x)
         spectrum = plan.execute(x)
+        assert kernel_calls == [1]
         assert np.allclose(spectrum, reference, atol=1e-12 * np.max(np.abs(reference)))
         back = plan.inverse_plan().execute(spectrum)
         assert np.allclose(back, x, atol=1e-12 * np.max(np.abs(x)))
+
+
+class TestDispatch:
+    """Which calls the executor hands to the C kernels."""
+
+    @needs_native
+    @pytest.mark.parametrize("n", [16, 96, 1024, 4096, 24576])
+    def test_codelet_and_small_generic_bases_lower_natively(self, n):
+        assert get_program(n).native is not None
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "n, base",
+        [
+            (61, 61), (121, 11), (360, 45), (500, 20), (720, 45), (1000, 25),
+            (2187, 27), (5040, 21), (6144, 24), (196608, 48),
+        ],
+    )
+    def test_large_generic_bases_keep_numpy_bodies(self, n, base, kernel_calls):
+        program = get_program(n)
+        assert program.base == base and program.native is None
+        assert f"generic base order {base}" in program.native_fallback_reason
+        X = _batch(n, _rows_past_crossover(n))
+        pure = StageProgram(n, native=False).execute(X)
+        assert np.array_equal(program.execute(X), pure)
+        assert kernel_calls == []
+
+    def test_bases_the_kernels_run_combine_with_radix_16_only(self):
+        # Why the C side needs no generic combine kernel: every schedule
+        # whose base is a codelet or a small generic order combines with
+        # unrolled radix-16 stages only.
+        sizes = list(range(1, 8193)) + [3 << 16, 5 << 16, 7 << 16, 1 << 20]
+        for n in sizes:
+            base, radices = executor.lower(n)
+            if base in native_mod.CODELET_RADICES or base <= GENERIC_BASE_MAX:
+                assert set(radices) <= {16}, (n, base, radices)
+
+    @needs_native
+    def test_calls_below_the_crossover_run_numpy_bodies(self, kernel_calls):
+        n = 1024
+        program = get_program(n)
+        assert program.native is not None
+        rows = _rows_past_crossover(n)
+        assert rows >= 2
+        X = np.stack([_rng(n) for _ in range(rows)])
+        pure = StageProgram(n)
+        assert np.array_equal(program.execute(X[0]), pure.execute(X[0]))
+        assert kernel_calls == []
+        out = program.execute(X)
+        assert kernel_calls == [rows]
+        assert np.allclose(out, pure.execute(X), atol=1e-12 * np.max(np.abs(out)))
+
+    @needs_native
+    def test_concurrent_first_calls_build_the_lowering_once(self):
+        n, workers, rounds = 4096, 8, 20
+        x = _rng(n)
+        want = StageProgram(n).execute(x)
+        results, errors = [], []
+
+        def worker(program, barrier):
+            try:
+                barrier.wait(timeout=30)
+                results.append(program.execute(x))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                program = StageProgram(n, native=True)
+                barrier = threading.Barrier(workers)
+                before = native_info()["programs_built"]
+                threads = [
+                    threading.Thread(target=worker, args=(program, barrier))
+                    for _ in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert native_info()["programs_built"] == before + 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and len(results) == workers * rounds
+        for got in results:
+            assert np.allclose(got, want, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_library_loads_only_when_a_call_reaches_the_crossover(self, tmp_path):
+        # A fresh kernel cache: calls below the crossover, sizes that keep
+        # the NumPy bodies, and planning never load (or compile) the library.
+        import json as _json
+
+        probe = """
+import json
+import numpy as np
+import repro
+from repro.fftlib.executor import get_program
+from repro.fftlib.native import cache_stats
+from repro.fftlib.planner import plan_fft
+
+x = np.arange(64) * (1.0 + 0.5j)
+plan = repro.plan(64)
+back = plan.inverse(plan.execute(x).output).output
+plan_fft(4096)
+for n in (720, 6144, 196608):
+    program = get_program(n)
+    program.execute(np.ones(n, dtype=complex))
+    assert program.native_fallback_reason.startswith("generic base order")
+stats = cache_stats()
+print(json.dumps({"ok": bool(np.allclose(back, x)), "loaded": stats.loaded,
+                  "compiles": stats.compiles, "disk_hits": stats.disk_hits}))
+"""
+        env = _probe_env(tmp_path / "cold")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = _json.loads(done.stdout)
+        assert report == {"ok": True, "loaded": False, "compiles": 0, "disk_hits": 0}
 
 
 class TestGracefulFallback:
@@ -114,11 +278,11 @@ class TestGracefulFallback:
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         assert not native_supported()
         assert "REPRO_NO_NATIVE" in native_unavailable_reason()
-        program = StageProgram(360, native=True)
+        program = StageProgram(4096, native=True)
         assert program.native is None
         assert "REPRO_NO_NATIVE" in program.native_fallback_reason
-        x = _rng(360)
-        pure = StageProgram(360).execute(x)
+        x = _rng(4096)
+        pure = StageProgram(4096).execute(x)
         assert np.allclose(program.execute(x), pure, atol=1e-12 * np.max(np.abs(pure)))
 
     def test_env_disable_is_not_sticky(self, monkeypatch):
@@ -176,22 +340,52 @@ class TestGracefulFallback:
 
 
 class TestPlannerSurface:
+    @needs_native
+    def test_measure_race_times_numpy_bodies_against_native(self, monkeypatch):
+        fetched = []
+        original = executor.get_program
+
+        def recording(n, *, native=True):
+            program = original(n, native=native)
+            fetched.append(program)
+            return program
+
+        monkeypatch.setattr(executor, "get_program", recording)
+        planner = Planner(policy=PlannerPolicy.MEASURE)
+        planner.plan(4096)
+        pure, native = fetched[:2]
+        assert pure is not native
+        assert pure.native is None and pure.native_fallback_reason is None
+        assert native.native is not None
+        assert set(planner.native_measurements["4096"]) == {"numpy", "native"}
+
+    def test_measure_skips_the_race_below_the_crossover(self):
+        # A single call this small runs the NumPy bodies on either program.
+        planner = Planner(policy=PlannerPolicy.MEASURE)
+        plan = planner.plan(64)
+        assert plan.native and planner.native_measurements == {}
+
     def test_wisdom_key_distinguishes_native(self):
         planner = Planner()
-        a = planner.plan(256, native=True)
-        b = planner.plan(256)
-        assert a is not b
+        a = planner.plan(256)
+        b = planner.plan(256, native=False)
+        assert a is not b and a.native and not b.native
         assert a is planner.plan(256, native=True)
 
     def test_wisdom_export_import_round_trip(self):
         planner = Planner()
-        planner.plan(512, native=True)
+        planner.plan(512)
+        planner.plan(512, native=False)
         data = planner.export_wisdom()
-        assert "512:forward:fftlib:nat" in data
+        assert {"512:forward:fftlib", "512:forward:fftlib:pure"} <= set(data)
         fresh = Planner()
         fresh.import_wisdom(data)
-        restored = fresh.plan(512, native=True)
-        assert restored.native
+        assert fresh.plan(512).native
+        assert not fresh.plan(512, native=False).native
+        # the retired ":nat" key part imports as the default plan
+        legacy = Planner()
+        legacy.import_wisdom({"256:forward:fftlib:nat": "native"})
+        assert legacy.plan(256).native and len(legacy.wisdom) == 1
 
 
 SUBPROCESS_PROBE = """
@@ -200,10 +394,11 @@ import numpy as np
 from repro.fftlib.executor import StageProgram
 from repro.fftlib.native import native_info
 
-program = StageProgram(360, native=True)
-x = np.arange(360) * (1.0 + 0.5j)
+program = StageProgram(4096, native=True)
+x = np.arange(4096) * (1.0 + 0.5j)
 got = program.execute(x)
-ref = StageProgram(360).execute(x)
+assert program.native is not None
+ref = StageProgram(4096).execute(x)
 ok = bool(np.allclose(got, ref, atol=1e-12 * float(np.max(np.abs(ref)))))
 info = native_info()
 print(json.dumps({"ok": ok, "compiles": info["compiles"],

@@ -61,13 +61,20 @@ class TestPlanner:
         assert planner.plan(32) is planner.plan(32)
 
     def test_measure_policy_times_only_capability_requests(self, random_complex):
-        # A plain request has a single lowering, so MEASURE has nothing to race.
+        # A pure-NumPy request has a single lowering, and a default request
+        # below the native crossover runs the NumPy bodies either way, so
+        # MEASURE has nothing to race; past the crossover the default
+        # (native) request races its two stage bodies.
         planner = Planner(policy=PlannerPolicy.MEASURE)
-        plan = planner.plan(64)
+        plan = planner.plan(64, native=False)
+        planner.plan(64)
         assert planner.inplace_measurements == {} and planner.native_measurements == {}
         assert [key for key in planner.export_wisdom() if key.startswith("__")] == []
         x = random_complex(64)
         assert np.allclose(plan.execute(x), np.fft.fft(x), atol=1e-9)
+        if get_program(4096).native is not None:
+            planner.plan(4096)
+            assert set(planner.native_measurements) == {"4096"}
 
     def test_forget_clears_wisdom(self):
         planner = Planner()
@@ -84,7 +91,7 @@ class TestPlanner:
         other.import_wisdom(data)
         assert other.plan(32).program is planner.plan(32).program
         restored = other.plan(13, PlanDirection.BACKWARD)
-        assert restored is other.wisdom[(13, PlanDirection.BACKWARD, "fftlib", False, False, False)]
+        assert restored is other.wisdom[(13, PlanDirection.BACKWARD, "fftlib", False, False, True)]
 
     def test_default_planner_shared(self):
         assert get_default_planner() is get_default_planner()

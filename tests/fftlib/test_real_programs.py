@@ -43,10 +43,10 @@ PRE_REMOVAL_SNAPSHOT = {
 
 #: The wisdom key each per-key entry of that snapshot imports to.
 PRE_REMOVAL_KEYS = {
-    "64:forward:fftlib": (64, PlanDirection.FORWARD, "fftlib", False, False, False),
-    "8192:forward:fftlib:t2": (8192, PlanDirection.FORWARD, "fftlib", False, False, False),
-    "48:forward:fftlib:real": (48, PlanDirection.FORWARD, "fftlib", True, False, False),
-    "1024:forward:fftlib:ip": (1024, PlanDirection.FORWARD, "fftlib", False, True, False),
+    "64:forward:fftlib": (64, PlanDirection.FORWARD, "fftlib", False, False, True),
+    "8192:forward:fftlib:t2": (8192, PlanDirection.FORWARD, "fftlib", False, False, True),
+    "48:forward:fftlib:real": (48, PlanDirection.FORWARD, "fftlib", True, False, True),
+    "1024:forward:fftlib:ip": (1024, PlanDirection.FORWARD, "fftlib", False, True, True),
 }
 
 
@@ -169,7 +169,8 @@ class TestWisdomPersistence:
         planner.plan(64)
         planner.plan(48, real=True)
         data = planner.export_wisdom()
-        assert data["64:forward:fftlib"] == get_program(64).describe()
+        # MEASURE may keep either lowering of 64 (native vs NumPy bodies)
+        assert data["64:forward:fftlib"] == planner.plan(64).program.describe()
         assert "RealStageProgram" in data["48:forward:fftlib:real"]
         assert not any(key in data for key in ("__measurements__", "__programs__"))
         # JSON-serialisable end to end
@@ -181,7 +182,7 @@ class TestWisdomPersistence:
         planner.plan(48, real=True)
         other = Planner(policy=PlannerPolicy.MEASURE)
         other.import_wisdom(planner.export_wisdom())
-        key = (48, PlanDirection.FORWARD, "fftlib", True, False, False)
+        key = (48, PlanDirection.FORWARD, "fftlib", True, False, True)
         assert key in other.wisdom
         restored = other.plan(48, real=True)
         assert restored is other.wisdom[key]
@@ -190,7 +191,7 @@ class TestWisdomPersistence:
     def test_legacy_flat_formats_still_accepted(self):
         planner = Planner()
         planner.import_wisdom({"16:forward": "mixed-radix"})
-        key = (16, PlanDirection.FORWARD, "fftlib", False, False, False)
+        key = (16, PlanDirection.FORWARD, "fftlib", False, False, True)
         assert planner.plan(16) is planner.wisdom[key]
         planner.import_wisdom({"32:backward:numpy": "mixed-radix"})
         key = (32, PlanDirection.BACKWARD, "numpy", False, False, False)
@@ -201,7 +202,7 @@ class TestWisdomPersistence:
         planner.import_wisdom(json.loads(json.dumps(PRE_REMOVAL_SNAPSHOT)))
         # the :t2 key lands on the serial key and lowers to the serial program
         serial = planner.plan(8192)
-        assert serial is planner.wisdom[(8192, PlanDirection.FORWARD, "fftlib", False, False, False)]
+        assert serial is planner.wisdom[(8192, PlanDirection.FORWARD, "fftlib", False, False, True)]
         assert serial.program is get_program(8192)
         assert not hasattr(serial, "threads")
         x = np.random.default_rng(8).standard_normal(8192) + 0j
@@ -246,7 +247,7 @@ class TestWisdomPersistence:
         planner.import_wisdom(
             {"1024:forward:fftlib:ip": "stockham", "2048:forward:fftlib:nat": "native"}
         )
-        assert (1024, PlanDirection.FORWARD, "fftlib", False, True, False) in planner.wisdom
+        assert (1024, PlanDirection.FORWARD, "fftlib", False, True, True) in planner.wisdom
         assert (2048, PlanDirection.FORWARD, "fftlib", False, False, True) in planner.wisdom
         assert planner.inplace_measurements == {}
         assert planner.native_measurements == {}

@@ -242,7 +242,7 @@ class TestPlanLayerLowering:
         assert "512:forward:fftlib:ip" in data
         fresh = Planner()
         fresh.import_wisdom(data)
-        key = (512, PlanDirection.FORWARD, "fftlib", False, True, False)
+        key = (512, PlanDirection.FORWARD, "fftlib", False, True, True)
         assert key in fresh.wisdom
         assert fresh.wisdom[key].inplace
 
@@ -256,7 +256,7 @@ class TestPlanLayerLowering:
                 },
             }
         )
-        key = (512, PlanDirection.FORWARD, "fftlib", False, True, False)
+        key = (512, PlanDirection.FORWARD, "fftlib", False, True, True)
         # recorded winner: ping-pong - the plan keeps the ping-pong program
         assert not planner.wisdom[key].inplace
 

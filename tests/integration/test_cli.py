@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -205,3 +208,35 @@ class TestInplaceOption:
         out = capsys.readouterr().out
         assert "faults injected      : 1" in out
         assert "rows re-protected    : 1" in out
+
+
+@pytest.fixture
+def daemon():
+    from repro.server import ServerThread
+
+    tmp = tempfile.mkdtemp(prefix="repro-test-cli-")
+    sock = os.path.join(tmp, "serve.sock")
+    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=32, workers=1)
+    thread.start()
+    yield thread
+    thread.stop()
+    if os.path.exists(sock):
+        os.unlink(sock)
+    os.rmdir(tmp)
+
+
+class TestSubmit:
+    @pytest.mark.parametrize(
+        "scheme", ["opt-online+mem", "opt-online+mem+numpy", "opt-offline+mem+fftlib+native"]
+    )
+    def test_real_flag_composes_with_any_scheme_name(self, daemon, scheme, capsys):
+        argv = ["submit", "-a", daemon.address, "-n", "64", "--seed", "3", "--real"]
+        assert main(argv + ["--scheme", scheme]) == 0
+        out = capsys.readouterr().out
+        assert "detected=False" in out and "uncorrectable=False" in out
+
+    def test_unknown_scheme_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", "-n", "64", "--scheme", "opt-online+mem+t2"])
+        assert exc.value.code == 2
+        assert "unknown scheme 'opt-online+mem+t2'" in capsys.readouterr().err

@@ -5,6 +5,10 @@ the campaign driver and the parallel simulation in the same way the
 benchmark harnesses do, at sizes small enough for the unit-test suite.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 import repro
@@ -149,3 +153,17 @@ class TestParallelPipeline:
             online_scheme_ops(n, memory_ft=True).with_error
             < offline_scheme_ops(n, memory_ft=True).with_error
         )
+
+
+class TestColdStart:
+    def test_import_does_not_load_scipy(self):
+        """The package needs numpy only; scipy costs ~1 s and ~70 MB to import."""
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        probe = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"

@@ -39,6 +39,14 @@ class TestParseHead:
         head = protocol.parse_head(b'{"n": 64, "config": "opt-online+mem+numpy"}')
         assert head.config == "opt-online+mem+numpy"
 
+    def test_retired_native_flag_canonicalizes_to_the_default_kernels(self):
+        head = protocol.parse_head(b'{"n": 64, "config": "opt-online+mem+native"}')
+        assert head.config == "opt-online+mem"
+        assert protocol.canonical_config("opt-online+mem+real+numpy+native") == (
+            "opt-online+mem+real+numpy",
+            True,
+        )
+
     @pytest.mark.parametrize(
         "line",
         [

@@ -209,6 +209,30 @@ class TestFaultTolerance:
                 os.unlink(sock)
             os.rmdir(tmp)
 
+    def test_native_alias_shares_the_batch_group(self):
+        # "+native" names the default kernels, so both spellings land in
+        # one (n, config) group and coalesce into one micro-batch.
+        tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
+        sock = os.path.join(tmp, "serve.sock")
+        thread = ServerThread(
+            port=None, unix_path=sock, window=0.25, max_batch=32, workers=1
+        )
+        thread.start()
+        try:
+            xs = [_rows(256, real=False, seed=s) for s in (7, 8)]
+            with Client(thread.address) as first, Client(thread.address) as second:
+                first.submit(xs[0], "opt-online+mem")
+                second.submit(xs[1], "opt-online+mem+native")
+                replies = [first.collect(), second.collect()]
+            for x, reply in zip(xs, replies):
+                assert reply.batch_size == 2
+                assert np.array_equal(reply.output, _reference(256, "opt-online+mem", x))
+        finally:
+            thread.stop()
+            if os.path.exists(sock):
+                os.unlink(sock)
+            os.rmdir(tmp)
+
     def test_oversized_payload_rejected(self):
         tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
         sock = os.path.join(tmp, "serve.sock")

@@ -46,9 +46,8 @@ HOT_FILES = {
     # FTPlan's execute* entry points run the (allocating) protection
     # machinery; only its transform fast paths are allocation-sensitive.
     "src/repro/core/ftplan.py": ("transform",),
-    # The fused protected program: execute_tapped replicates the executor's
-    # scratch discipline and encode's telescoping folds are the per-call
-    # reference side, both on the protected hot path.
+    # The fused protected program: execute_tapped (the plan's program plus
+    # the r . X dot) and encode (the c . x dot) are the protected hot path.
     "src/repro/fftlib/protected.py": ("execute", "encode", "transform"),
     # The native-tier ctypes shim: each NativeProgram.execute* is one
     # foreign call plus pointer marshalling - any numpy allocation here
