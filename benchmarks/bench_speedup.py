@@ -17,6 +17,10 @@ drifts cannot bias the ratios):
   ``repro.plan(n, backend="fftlib")`` (what the paper's overhead figures
   are measured on top of): the end-to-end check around the plan's own
   lowering, which runs the native stage bodies wherever the tier is up;
+* ``protected_inverse`` - the same plan's ``inverse`` of the protected
+  spectrum.  ``inverse_over_protected_ratio`` is ``protected_inverse /
+  protected``: the inverse runs the forward's program and check plus one
+  finish pass, so a conjugation pass or copy coming back shows up here;
 * ``rfft_compiled`` - the compiled half-complex real-input path
   (``plan_fft(n, real=True)``: half-length complex program + one repack
   pass);
@@ -115,6 +119,8 @@ CHECKED_RATIOS = {
     # protected overhead: lower is better (ratio of protected over compiled)
     "protected_over_compiled_ratio": False,
     "protected_over_native_ratio": False,
+    # the protected inverse over the protected forward: lower is better
+    "inverse_over_protected_ratio": False,
     # tracing-enabled over tracing-disabled protected time: lower is better
     "telemetry_overhead_ratio": False,
 }
@@ -236,6 +242,7 @@ def run(write: bool = True) -> dict:
             "inplace vs compiled",
             "protected vs compiled",
             "protected vs native",
+            "inverse vs protected",
             "telemetry overhead",
             "rfft speedup",
         ],
@@ -249,6 +256,7 @@ def run(write: bool = True) -> dict:
         inplace_plan = plan_fft(int(n), backend="fftlib", inplace=True, native=False)
         numpy_plan = plan_fft(int(n), backend="numpy")
         protected_plan = repro.plan(int(n), backend="fftlib")
+        spectrum = protected_plan.execute(x).output
         real_plan = plan_fft(int(n), backend="fftlib", real=True, native=False)
         real_numpy_plan = plan_fft(int(n), backend="numpy", real=True)
         # overwrite-style timing: refill the reused buffer, transform it in
@@ -275,6 +283,7 @@ def run(write: bool = True) -> dict:
             "inplace": run_inplace,
             "numpy": lambda x=x, p=numpy_plan: p.execute(x),
             "protected": lambda x=x, p=protected_plan: p.execute(x),
+            "protected_inverse": lambda s=spectrum, p=protected_plan: p.inverse(s),
             "protected_traced": run_protected_traced,
             "rfft_compiled": lambda xr=xr, p=real_plan: p.execute(xr),
             # the pre-real-plan cost of a real workload: complexify, run the
@@ -300,6 +309,7 @@ def run(write: bool = True) -> dict:
         speedup = best["recursive"] / best["compiled"]
         inplace_speedup = best["compiled"] / best["inplace"]
         protected_ratio = best["protected"] / best["compiled"]
+        inverse_ratio = best["protected_inverse"] / best["protected"]
         telemetry_ratio = best["protected_traced"] / best["protected"]
         real_speedup = best["rfft_complex_engine"] / best["rfft_compiled"]
         if with_native:
@@ -319,6 +329,7 @@ def run(write: bool = True) -> dict:
                 "speedup_protected_vs_recursive": float(best["recursive"] / best["protected"]),
                 "protected_over_compiled_ratio": float(protected_ratio),
                 "protected_over_native_ratio": protected_native_ratio,
+                "inverse_over_protected_ratio": float(inverse_ratio),
                 "telemetry_overhead_ratio": float(telemetry_ratio),
                 "speedup_inplace_vs_compiled": float(inplace_speedup),
                 "speedup_real_vs_complex_engine": float(real_speedup),
@@ -343,6 +354,7 @@ def run(write: bool = True) -> dict:
             f"{inplace_speedup:.2f}x",
             f"{protected_ratio:.2f}x",
             f"{protected_native_ratio:.2f}x" if with_native else "-",
+            f"{inverse_ratio:.2f}x",
             f"{telemetry_ratio:.3f}x",
             f"{real_speedup:.2f}x",
         )
@@ -354,7 +366,9 @@ def run(write: bool = True) -> dict:
             "NumPy bodies) vs the seed-style recursive mixed-radix engine, the "
             "numpy backend, and the fully protected opt-online+mem plan (one "
             "end-to-end check around the default, native lowering: "
-            "protected_over_native_ratio is its overhead over that lowering); "
+            "protected_over_native_ratio is its overhead over that lowering; "
+            "inverse_over_protected_ratio is that plan's inverse over its "
+            "forward); "
             "rfft_* columns compare the compiled half-complex real path against "
             "the complex engine on the same real input and numpy.fft.rfft; the "
             "inplace column is the Stockham autosort program overwriting a "

@@ -22,8 +22,9 @@ vectors and exposes three execution entry points:
     The protected forward transform of one vector (the scheme's native
     fault-tolerance machinery: per-sub-FFT online verification etc.).
 ``inverse(X)``
-    The protected inverse via the conjugation identity, so the same coverage
-    applies in both directions.
+    The protected inverse through the forward's own protected program
+    (``ifft(X)[j] = F(X)[(n - j) mod n] / n``), so the same coverage applies
+    in both directions.
 ``execute_many(X, axis=-1)``
     Batched execution.  The whole batch moves through the two-layer pipeline
     as one 3-D array (no per-row Python loop) and protection is *vectorized*:
@@ -303,9 +304,15 @@ class FTPlan:
     ) -> SchemeResult:
         """Protected inverse transform.
 
-        Implemented with the conjugation identity
-        ``ifft(X) = conj(fft(conj(X))) / n`` so the exact same protected
-        forward machinery (and therefore the same coverage) applies.  Real
+        Fault-free complex calls use ``ifft(X)[j] = F(X)[(n - j) mod n] /
+        n``: the fused program runs on ``X`` itself, with the forward's
+        encode ``c . X``, check ``r . F(X) = c . X``, thresholds and
+        repair/restart loop, and one finish pass reverses and scales its
+        output (in place in C on the native lowering, summing the check on
+        the way).  No conjugated copy and no conjugation pass.  Live
+        injectors and foreign backends take the paper-exact scheme through
+        the conjugation identity ``ifft(X) = conj(fft(conj(X))) / n``, so
+        every instrumented fault site fires in both directions.  Real
         plans map the packed spectrum back to ``n`` real samples, protected
         end-to-end through the same checksum identity (``c . x = r . X``
         with the packed-layout fold on the spectrum side).
@@ -313,7 +320,9 @@ class FTPlan:
 
         if self._real:
             return self._inverse_real(spectrum, injector)
-        result = self._execute_complex(np.conj(spectrum, dtype=np.complex128), injector)
+        if self._fused_program is not None and (injector is None or not injector.is_live):
+            return self._cast_result(self._execute_fused(spectrum, backward=True))
+        result = self.scheme.execute(np.conj(spectrum, dtype=np.complex128), injector)
         # conj(X) / n in place on the transform's own (fresh, contiguous
         # complex128) result, through its float64 view: scale, then negate
         # the imaginary parts.  Multiplying by 1/n is what numpy's complex
@@ -326,7 +335,7 @@ class FTPlan:
     # ------------------------------------------------------------------
     # fused protected execution (fault-free fast path)
     # ------------------------------------------------------------------
-    def _execute_fused(self, x: np.ndarray) -> SchemeResult:
+    def _execute_fused(self, x: np.ndarray, backward: bool = False) -> SchemeResult:
         """One vector through the fused protected program.
 
         The paper's offline check around the plan's own lowering: encode
@@ -336,6 +345,8 @@ class FTPlan:
         unprotected program.  A detected violation memory-verifies and
         repairs the input via the locating pair, then restarts, up to the
         retry budget (the discipline of :meth:`_protected_rfft`).
+        ``backward`` returns the inverse transform of ``x`` instead, after
+        the same check on the same program run (see :meth:`inverse`).
         """
 
         prog = self._fused_program
@@ -402,7 +413,12 @@ class FTPlan:
         attempts = 0
         while True:
             attempts += 1
-            output, rx = prog.execute_tapped(x)
+            # Forward calls pass x alone: stand-ins for execute_tapped that
+            # only serve the forward take (self, x).
+            if backward:
+                output, rx = prog.execute_tapped(x, backward=True)
+            else:
+                output, rx = prog.execute_tapped(x)
             report.bump("verifications", 1)
             # A Python float comparison with the same NaN-is-violation
             # semantics as residual_exceeds.

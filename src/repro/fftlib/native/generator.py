@@ -11,21 +11,34 @@ compiled :class:`~repro.fftlib.executor.StageProgram` executes -
   folded at generation time (trivial factors ``1`` and ``-i`` cost no
   multiplies, exactly the split-radix savings the ROADMAP's r in {32, 64}
   follow-on asked for);
-* **combine codelets** ``combine_r_tw`` / ``combine_r_plain`` - one fused
-  pass per stage: load the ``r`` strided inputs, multiply by the
-  precomputed ``(r, p)`` twiddle table, run the unrolled radix-``r``
-  butterfly, scatter the ``t``-major outputs - where the pure-NumPy path
-  pays one full twiddle pass plus one BLAS contraction per stage;
+* **combine codelets** ``combine_16_tw`` / ``combine_16_plain`` - one fused
+  pass per stage: load the 16 strided inputs, multiply by the precomputed
+  ``(16, p)`` twiddle table, run the unrolled radix-16 butterfly, scatter
+  the ``t``-major outputs - where the pure-NumPy path pays one full twiddle
+  pass plus one BLAS contraction per stage.  Radix 16 is the only combine
+  radix :func:`~repro.fftlib.executor.lower` gives a native program, so it
+  is the only one generated.  The ``u`` loop is line-blocked: it handles
+  :data:`LANES` adjacent points, one 64-byte cache line per stream, per
+  iteration (the 16 streams of a late stage lie ``n / 16`` elements apart,
+  so a line fetched for one point would otherwise be evicted before its
+  neighbours use it).  Each lane runs the same butterfly in the same
+  operation order as the single-point remainder loop that finishes spans
+  that are not a multiple of :data:`LANES` (bases 5, 6 and 7), so the
+  blocking never changes a result bit;
 * a **generic base** ``base_generic`` driven by the cached DFT matrix, for
   the small base orders without an unrolled codelet (3, 5, 6, 7 - bounded
   by :data:`GENERIC_BASE_MAX`).  Every program whose base is that small
-  combines with codelet radices only, so there is no generic combine:
+  combines with radix 16 only, so there is no generic combine:
   :mod:`~repro.fftlib.native.kernels` keeps any other shape on the NumPy
   stage bodies;
 * two **drivers**, ``repro_execute`` (out-of-place, ping-pong work buffers)
   and ``repro_execute_into`` (the two-buffer allocation-free discipline of
   :meth:`StageProgram.execute_into`), each a single C call per transform so
-  ``ctypes`` releases the GIL exactly once per execution.
+  ``ctypes`` releases the GIL exactly once per execution;
+* the **inverse finish** ``repro_inverse_finish``: one in-place pass over a
+  forward program's output ``F(X)`` that sums it by residue class mod ``p``
+  (the end-to-end check's ``r . F(X)`` with ``r_j = omega_p^(j mod p)``)
+  and rewrites it as ``ifft(X)[j] = F(X)[(n - j) mod n] / n``.
 
 Everything is ``complex128`` stored interleaved (the NumPy memory layout),
 all pointers are ``restrict``, and nothing allocates - buffers, twiddle
@@ -46,20 +59,30 @@ __all__ = [
     "GENERATOR_VERSION",
     "NATIVE_ABI",
     "CODELET_RADICES",
+    "COMBINE_RADIX",
+    "LANES",
     "GENERIC_BASE_MAX",
     "generate_source",
 ]
 
 #: Bump on any change to the emitted C (new kernels, changed signatures,
 #: changed loop structure) - it is folded into the kernel-cache key.
-GENERATOR_VERSION = "2"
+GENERATOR_VERSION = "3"
 
 #: ABI stamp compiled into the shared object and verified at load time, so a
 #: cache entry produced by an incompatible generator can never be dispatched.
-NATIVE_ABI = 2
+NATIVE_ABI = 3
 
-#: Radices with fully unrolled straight-line butterflies.
+#: Base orders with fully unrolled straight-line butterflies.
 CODELET_RADICES = (2, 4, 8, 16, 32, 64)
+
+#: The one combine radix with a generated codelet: every program whose base
+#: the kernels run combines with radix 16 only (see ``executor.lower``).
+COMBINE_RADIX = 16
+
+#: complex128 points per 64-byte cache line: the combine codelet's ``u``
+#: loop handles this many adjacent points of every stream per iteration.
+LANES = 4
 
 #: Largest base order lowered to the matrix-driven ``base_generic`` kernel.
 #: Past it the kernel's per-point O(base) loop loses to the NumPy batched
@@ -172,27 +195,51 @@ static void base_{r}(const int64_t batch, const int64_t q,
 """
 
 
+def _combine_body(r: int, twiddled: bool, lanes: int) -> List[str]:
+    """Straight-line radix-``r`` combine of ``lanes`` adjacent points ``u + l``.
+
+    Loads every stream's ``lanes`` points together (one cache line for four
+    complex128 values), runs the :func:`_dft` butterfly once per lane and
+    stores each output row's ``lanes`` points together.  Every lane performs
+    the single-point body's operations in the same order.
+    """
+
+    em = _Emitter()
+
+    def name(base: str, s: int, lane: int) -> str:
+        return f"{base}{s}_{lane}" if lanes > 1 else f"{base}{s}"
+
+    def at(lane: int) -> str:
+        return f"u + {lane}" if lane else "u"
+
+    inputs: List[List[Tuple[str, str]]] = [[] for _ in range(lanes)]
+    for s in range(r):
+        for lane in range(lanes):
+            x = name("x", s, lane)
+            em.stmt(f"const double {x}r = inc[2 * ({s} * sstr + {at(lane)})];")
+            em.stmt(f"const double {x}i = inc[2 * ({s} * sstr + {at(lane)}) + 1];")
+            if twiddled and s > 0:
+                # Row 0 of every stage table is all ones (omega^0); skip it.
+                w, z = name("w", s, lane), name("z", s, lane)
+                em.stmt(f"const double {w}r = tw[2 * ({s} * p + {at(lane)})];")
+                em.stmt(f"const double {w}i = tw[2 * ({s} * p + {at(lane)}) + 1];")
+                em.stmt(f"const double {z}r = {x}r * {w}r - {x}i * {w}i;")
+                em.stmt(f"const double {z}i = {x}r * {w}i + {x}i * {w}r;")
+                inputs[lane].append((f"{z}r", f"{z}i"))
+            else:
+                inputs[lane].append((f"{x}r", f"{x}i"))
+    outs = [_dft(em, inputs[lane]) for lane in range(lanes)]
+    for t in range(r):
+        for lane in range(lanes):
+            yr, yi = outs[lane][t]
+            em.stmt(f"outc[2 * ({t} * p + {at(lane)})] = {yr};")
+            em.stmt(f"outc[2 * ({t} * p + {at(lane)}) + 1] = {yi};")
+    return em.lines
+
+
 def _combine_codelet(r: int, twiddled: bool) -> str:
     """One fused combine stage of radix ``r`` (twiddle + butterfly + scatter)."""
 
-    em = _Emitter()
-    for s in range(r):
-        em.stmt(f"const double x{s}r = inc[2 * ({s} * sstr + u)];")
-        em.stmt(f"const double x{s}i = inc[2 * ({s} * sstr + u) + 1];")
-        if twiddled and s > 0:
-            # Row 0 of every stage table is all ones (omega^0); skip it.
-            em.stmt(f"const double w{s}r = tw[2 * ({s} * p + u)];")
-            em.stmt(f"const double w{s}i = tw[2 * ({s} * p + u) + 1];")
-            em.stmt(f"const double z{s}r = x{s}r * w{s}r - x{s}i * w{s}i;")
-            em.stmt(f"const double z{s}i = x{s}r * w{s}i + x{s}i * w{s}r;")
-    if twiddled:
-        inputs = [("x0r", "x0i")] + [(f"z{s}r", f"z{s}i") for s in range(1, r)]
-    else:
-        inputs = [(f"x{s}r", f"x{s}i") for s in range(r)]
-    outs = _dft(em, inputs)
-    for t, (yr, yi) in enumerate(outs):
-        em.stmt(f"outc[2 * ({t} * p + u)] = {yr};")
-        em.stmt(f"outc[2 * ({t} * p + u) + 1] = {yi};")
     suffix = "tw" if twiddled else "plain"
     tw_param = (
         "\n                           const double* restrict tw,"
@@ -205,14 +252,19 @@ static void combine_{r}_{suffix}(const int64_t batch, const int64_t count, const
                            double* restrict out, const int64_t out_rs)
 {{
     const int64_t sstr = count * p;
+    const int64_t blocked = p - p % {LANES};
     for (int64_t b = 0; b < batch; ++b) {{
         const double* restrict inb = in + 2 * b * in_rs;
         double* restrict outb = out + 2 * b * out_rs;
         for (int64_t c = 0; c < count; ++c) {{
             const double* restrict inc = inb + 2 * c * p;
             double* restrict outc = outb + 2 * c * ({r} * p);
-            for (int64_t u = 0; u < p; ++u) {{
-{_indent(em.lines, 4)}
+            int64_t u = 0;
+            for (; u < blocked; u += {LANES}) {{
+{_indent(_combine_body(r, twiddled, LANES), 4)}
+            }}
+            for (; u < p; ++u) {{
+{_indent(_combine_body(r, twiddled, 1), 4)}
             }}
         }}
     }}
@@ -229,6 +281,7 @@ _PRELUDE = f"""/* Generated by repro.fftlib.native.generator (version {GENERATOR
 
 #define REPRO_NATIVE_ABI {NATIVE_ABI}
 #define GENERIC_BASE_MAX {GENERIC_BASE_MAX}
+#define COMBINE_RADIX {COMBINE_RADIX}
 
 int64_t repro_native_abi(void) {{ return REPRO_NATIVE_ABI; }}
 """
@@ -303,16 +356,6 @@ def _dispatchers() -> str:
         f"    case {r}: base_{r}(batch, q, in, in_rs, out, out_rs); return;"
         for r in CODELET_RADICES
     )
-    tw_cases = "\n".join(
-        f"    case {r}: combine_{r}_tw(batch, count, p, in, in_rs, tw, out, out_rs); "
-        f"return;"
-        for r in CODELET_RADICES
-    )
-    plain_cases = "\n".join(
-        f"    case {r}: combine_{r}_plain(batch, count, p, in, in_rs, out, out_rs); "
-        f"return;"
-        for r in CODELET_RADICES
-    )
     return f"""
 static void run_base(const int64_t batch, const int64_t q, const int64_t base,
                      const double* restrict mat,
@@ -326,23 +369,18 @@ static void run_base(const int64_t batch, const int64_t q, const int64_t base,
     base_generic(batch, q, base, in, in_rs, mat, out, out_rs);
 }}
 
-/* Only codelet radices reach here: kernels._program_obstacle keeps every
- * program with another combine radix on the NumPy stage bodies. */
-static void run_combine(const int64_t radix, const int64_t span, const int64_t count,
+/* Only radix {COMBINE_RADIX} reaches here: kernels._program_obstacle keeps
+ * every program with another combine radix on the NumPy stage bodies. */
+static void run_combine(const int64_t span, const int64_t count,
                         const int64_t batch,
                         const double* restrict in, const int64_t in_rs,
                         const double* restrict tw,
                         double* restrict out, const int64_t out_rs)
 {{
-    const int64_t p = span;
-    if (tw) switch (radix) {{
-{tw_cases}
-    default: return;
-    }}
-    else switch (radix) {{
-{plain_cases}
-    default: return;
-    }}
+    if (tw)
+        combine_{COMBINE_RADIX}_tw(batch, count, span, in, in_rs, tw, out, out_rs);
+    else
+        combine_{COMBINE_RADIX}_plain(batch, count, span, in, in_rs, out, out_rs);
 }}
 """
 
@@ -353,8 +391,7 @@ _DRIVERS = """
  * `out`.  All row strides are in complex elements. */
 void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
                    const double* base_matrix, const int64_t nstages,
-                   const int64_t* restrict radices, const int64_t* restrict spans,
-                   const int64_t* restrict counts,
+                   const int64_t* restrict spans, const int64_t* restrict counts,
                    const double* const* twiddles,
                    const double* in, const int64_t in_rs,
                    double* out, const int64_t out_rs,
@@ -374,7 +411,7 @@ void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
         int64_t dst_rs;
         if (i == nstages - 1) { dst = out; dst_rs = out_rs; }
         else { dst = bufs[(i + 1) & 1]; dst_rs = n; }
-        run_combine(radices[i], spans[i], counts[i], batch,
+        run_combine(spans[i], counts[i], batch,
                     cur, cur_rs, twiddles[i], dst, dst_rs);
         cur = dst;
         cur_rs = dst_rs;
@@ -388,8 +425,7 @@ void repro_execute(const int64_t batch, const int64_t n, const int64_t base,
  * alternation of the remaining even count still finishes in `work`. */
 void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base,
                         const double* base_matrix, const int64_t nstages,
-                        const int64_t* restrict radices, const int64_t* restrict spans,
-                        const int64_t* restrict counts,
+                        const int64_t* restrict spans, const int64_t* restrict counts,
                         const double* const* twiddles,
                         double* data, const int64_t data_rs,
                         double* work, const int64_t work_rs)
@@ -398,9 +434,9 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
     run_base(batch, q0, base, base_matrix, data, data_rs, work, work_rs);
     int64_t i = 0;
     if (nstages & 1) {
-        twiddle_mult(batch, radices[0], counts[0], spans[0],
+        twiddle_mult(batch, COMBINE_RADIX, counts[0], spans[0],
                      work, work_rs, twiddles[0], data, data_rs);
-        run_combine(radices[0], spans[0], counts[0], batch,
+        run_combine(spans[0], counts[0], batch,
                     data, data_rs, (const double*)0, work, work_rs);
         i = 1;
     }
@@ -409,10 +445,48 @@ void repro_execute_into(const int64_t batch, const int64_t n, const int64_t base
     for (; i < nstages; ++i) {
         double* dst = (cur == work) ? data : work;
         const int64_t dst_rs = (cur == work) ? data_rs : work_rs;
-        run_combine(radices[i], spans[i], counts[i], batch,
+        run_combine(spans[i], counts[i], batch,
                     cur, cur_rs, twiddles[i], dst, dst_rs);
         cur = dst;
         cur_rs = dst_rs;
+    }
+}
+
+/* Inverse finish of one row: `y` holds F(X), a forward program's output on
+ * the spectrum X.  One in-place pass sums y by residue class mod p into
+ * `sums` (p complex values: sums[k] = sum of y[j] over j = k mod p, so the
+ * caller forms the check r . F(X) = sum_k omega_p^k sums[k]) and rewrites
+ * y as ifft(X)[j] = F(X)[(n - j) mod n] * scale, with scale = 1/n.  Element
+ * 0 stays in place; the others swap pairwise, j with n - j. */
+void repro_inverse_finish(const int64_t n, const int64_t p, const double scale,
+                          double* restrict y, double* restrict sums)
+{
+    for (int64_t k = 0; k < 2 * p; ++k) sums[k] = 0.0;
+    sums[0] = y[0];
+    sums[1] = y[1];
+    y[0] *= scale;
+    y[1] *= scale;
+    int64_t lo = 1, hi = n - 1;
+    int64_t klo = 1 % p, khi = (n - 1) % p;
+    for (; lo < hi; ++lo, --hi) {
+        const double ar = y[2 * lo], ai = y[2 * lo + 1];
+        const double br = y[2 * hi], bi = y[2 * hi + 1];
+        sums[2 * klo] += ar;
+        sums[2 * klo + 1] += ai;
+        sums[2 * khi] += br;
+        sums[2 * khi + 1] += bi;
+        y[2 * lo] = br * scale;
+        y[2 * lo + 1] = bi * scale;
+        y[2 * hi] = ar * scale;
+        y[2 * hi + 1] = ai * scale;
+        if (++klo == p) klo = 0;
+        if (khi-- == 0) khi = p - 1;
+    }
+    if (lo == hi) {
+        sums[2 * klo] += y[2 * lo];
+        sums[2 * klo + 1] += y[2 * lo + 1];
+        y[2 * lo] *= scale;
+        y[2 * lo + 1] *= scale;
     }
 }
 """
@@ -424,9 +498,8 @@ def generate_source() -> str:
     parts = [_PRELUDE]
     for r in CODELET_RADICES:
         parts.append(_base_codelet(r))
-    for r in CODELET_RADICES:
-        parts.append(_combine_codelet(r, twiddled=True))
-        parts.append(_combine_codelet(r, twiddled=False))
+    parts.append(_combine_codelet(COMBINE_RADIX, twiddled=True))
+    parts.append(_combine_codelet(COMBINE_RADIX, twiddled=False))
     parts.append(_GENERIC)
     parts.append(_dispatchers())
     parts.append(_DRIVERS)

@@ -13,17 +13,20 @@ exposes the capability gate the rest of the stack (and the reprolint
   unavailable instead of returning garbage.
 * :func:`build_native_program` - lowers a compiled
   :class:`~repro.fftlib.executor.StageProgram` into a
-  :class:`NativeProgram`: the stage descriptors (radices, spans, counts,
+  :class:`NativeProgram`: the stage descriptors (spans, counts,
   twiddle-table and butterfly-matrix pointers) marshalled once into ctypes
   arrays, so each transform afterwards is a *single* foreign call - and
   ctypes drops the GIL for the call's duration, so the serve daemon's
   worker threads run native transforms concurrently.
+  :meth:`NativeProgram.finish_inverse` binds the inverse finish, the one
+  in-place pass that turns the program's output into the inverse transform
+  and sums the end-to-end check on the way.
 * :func:`native_info` - ``cache_info()``-style counters: compiles, disk
   hits, failures, programs built, fallbacks, and the current status/reason.
 
 Fallback is always correct and never raises: any reason the tier cannot
 serve a program (disabled, no compiler, compile failure, Bluestein base, a
-combine radix without an unrolled kernel) or serves it slower than NumPy (a
+combine radix other than 16) or serves it slower than NumPy (a
 generic base order past :data:`~.generator.GENERIC_BASE_MAX`) is reported as
 a reason string, counted in the telemetry registry (``native_fallbacks``),
 and emitted as a ``fallback`` trace event when tracing is on; the caller
@@ -45,7 +48,7 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
 from .cache import cache_dir, cache_stats, load_library, reset_cache_state
-from .generator import CODELET_RADICES, GENERIC_BASE_MAX
+from .generator import CODELET_RADICES, COMBINE_RADIX, GENERIC_BASE_MAX
 
 __all__ = [
     "native_supported",
@@ -101,7 +104,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.repro_execute.argtypes = [
             _c64, _c64, _c64,            # batch, n, base
             _cvp, _c64,                  # base_matrix, nstages
-            _cvp, _cvp, _cvp,            # radices, spans, counts
+            _cvp, _cvp,                  # spans, counts
             _cvp,                        # twiddles**
             _cvp, _c64,                  # in, in_rs
             _cvp, _c64,                  # out, out_rs
@@ -111,10 +114,15 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         lib.repro_execute_into.argtypes = [
             _c64, _c64, _c64,
             _cvp, _c64,
-            _cvp, _cvp, _cvp,
+            _cvp, _cvp,
             _cvp,
             _cvp, _c64,                  # data, data_rs
             _cvp, _c64,                  # work, work_rs
+        ]
+        lib.repro_inverse_finish.restype = None
+        lib.repro_inverse_finish.argtypes = [
+            _c64, _c64, ctypes.c_double,  # n, p, scale
+            _cvp, _cvp,                  # y, sums
         ]
         _bound_libs.add(key)
     return lib
@@ -177,7 +185,6 @@ class NativeProgram:
         "nstages",
         "_lib",
         "_base_matrix_ptr",
-        "_radices",
         "_spans",
         "_counts",
         "_tw_ptrs",
@@ -208,13 +215,12 @@ class NativeProgram:
             refs.append(matrix)
             self._base_matrix_ptr = matrix.ctypes.data
 
-        self._radices = np.array([s.radix for s in stages], dtype=np.int64)
         self._spans = np.array([s.span for s in stages], dtype=np.int64)
         self._counts = np.array([s.count for s in stages], dtype=np.int64)
         tw_addrs = []
         for stage in stages:
-            # Combine radices are codelet radices (see _program_obstacle):
-            # the C side dispatches on the radix, only the twiddles travel.
+            # Every combine is radix 16 (see _program_obstacle): only the
+            # twiddles travel.
             twiddle = np.ascontiguousarray(stage.twiddle, dtype=np.complex128)
             refs.append(twiddle)
             tw_addrs.append(twiddle.ctypes.data)
@@ -240,7 +246,6 @@ class NativeProgram:
             self.base,
             self._base_matrix_ptr,
             self.nstages,
-            self._radices.ctypes.data,
             self._spans.ctypes.data,
             self._counts.ctypes.data,
             ctypes.addressof(self._tw_ptrs),
@@ -262,7 +267,6 @@ class NativeProgram:
             self.base,
             self._base_matrix_ptr,
             self.nstages,
-            self._radices.ctypes.data,
             self._spans.ctypes.data,
             self._counts.ctypes.data,
             ctypes.addressof(self._tw_ptrs),
@@ -272,6 +276,19 @@ class NativeProgram:
             self._row_stride(work),
         )
         return work
+
+    def finish_inverse(self, y: np.ndarray, sums: np.ndarray) -> None:
+        """Turn ``y = F(X)`` into ``ifft(X)`` in place; one foreign call.
+
+        ``y`` is one contiguous row of the program's output.  On return
+        ``sums`` (``p`` complex values) holds ``y``'s residue-class sums mod
+        ``p``, ``sums[k] = sum of F(X)[j] over j = k (mod p)``, and ``y``
+        holds ``F(X)[(n - j) mod n] / n``.
+        """
+
+        self._lib.repro_inverse_finish(
+            self.n, sums.size, 1.0 / self.n, y.ctypes.data, sums.ctypes.data
+        )
 
 
 def _program_obstacle(program: Any) -> Optional[str]:
@@ -286,10 +303,13 @@ def _program_obstacle(program: Any) -> Optional[str]:
         )
     for stage in program.stages:
         # Unreachable through executor.lower (every base that passes the
-        # check above combines with radix 16 only); keeps the C dispatch
-        # total.
-        if stage.radix not in CODELET_RADICES:
-            return f"combine radix {stage.radix} has no unrolled kernel"
+        # check above combines with radix 16 only); the C drivers run every
+        # stage as radix 16.
+        if stage.radix != COMBINE_RADIX:
+            return (
+                f"combine radix {stage.radix} has no generated kernel "
+                f"(radix {COMBINE_RADIX} only)"
+            )
     return None
 
 

@@ -24,11 +24,23 @@ the unprotected program.  One check covers the interior stages too: an
 error ``e`` in element ``k'`` of row ``b`` after the stage of span ``L``
 (``count = n / L`` rows) moves ``r . X`` by ``e`` times
 ``sum_t r[k' + t L] omega_count^(b t)``.  With ``r_j = omega_p^j`` and ``p``
-the smallest prime not dividing ``n`` that sum has magnitude
-``|1 - omega_p^n| / |1 - omega_p^L omega_count^b| >= sin(pi / p)`` (0.87
-for ``p = 3``), so no stage boundary is blind.  Live fault injectors never
-reach this module - ``FTPlan`` routes them through the paper-exact scheme
-path.
+the smallest *odd* prime not dividing ``n`` (``checksum_prime``) that sum
+has magnitude ``|1 - omega_p^n| / |1 - omega_p^L omega_count^b| >=
+sin(pi / p)`` (0.87 for ``p = 3``), so no stage boundary is blind.
+
+The inverse needs no second program: ``ifft(X)[j] = F(X)[(n - j) mod n] /
+n``.  ``execute_tapped(X, backward=True)`` runs the same forward program on
+the spectrum ``X`` itself, so the encode ``c . X``, the check ``r . F(X) =
+c . X`` and every threshold are the forward's; one finish pass then
+reverses and scales the program's output.  On the native lowering the
+finish is one C pass (``repro_inverse_finish``) that also sums ``F(X)`` by
+residue class mod ``p`` - ``r`` has period ``p``, so ``r . F(X)`` is ``p``
+products of those sums - in place, so the inverse allocates nothing beyond
+the program's output.  Wherever the program ran its NumPy bodies (below
+the native crossover, without the tier, generic bases above 8) the finish
+is the NumPy ``r . F(X)`` dot plus a reversed, scaled copy.
+Live fault injectors never reach this module - ``FTPlan`` routes them
+through the paper-exact scheme path.
 """
 
 from __future__ import annotations
@@ -38,7 +50,12 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.fftlib.executor import StageProgram, _cached_program, get_program
+from repro.fftlib.executor import (
+    _NATIVE_MIN_ELEMENTS,
+    StageProgram,
+    _cached_program,
+    get_program,
+)
 from repro.telemetry import trace as _trace
 
 __all__ = [
@@ -67,6 +84,9 @@ class ProtectedStageProgram:
         weights ``r``, built with the same encoding family (closed form vs
         naive) as :class:`SchemeConstants`, so ``c . x`` is bit-identical
         to the legacy scheme's input checksum.
+    p:
+        The period of ``r`` (``r_j = omega_p^(j mod p)``): the number of
+        residue-class sums the native inverse finish returns.
     optimized / memory_ft:
         The plan-configuration axes the operators were built for (part of
         the program-cache key).
@@ -86,6 +106,7 @@ class ProtectedStageProgram:
     program: StageProgram
     c: np.ndarray
     r: np.ndarray
+    p: int
     optimized: bool
     memory_ft: bool
     w1: "np.ndarray | None"
@@ -104,6 +125,7 @@ class ProtectedStageProgram:
         """
 
         from repro.core.checksums import (
+            checksum_prime,
             computational_weights,
             input_checksum_weights,
             input_checksum_weights_naive,
@@ -135,6 +157,7 @@ class ProtectedStageProgram:
             program=program,
             c=c,
             r=computational_weights(n),
+            p=checksum_prime(n),
             optimized=bool(optimized),
             memory_ft=bool(memory_ft),
             w1=w1,
@@ -156,12 +179,33 @@ class ProtectedStageProgram:
         with np.errstate(over="ignore", invalid="ignore"):
             return complex(np.dot(self.c, x))
 
-    def execute_tapped(self, x: np.ndarray) -> Tuple[np.ndarray, complex]:
-        """Forward DFT of one vector plus its output checksum ``r . X``."""
+    def execute_tapped(self, x: np.ndarray, backward: bool = False) -> Tuple[np.ndarray, complex]:
+        """Forward DFT of one vector plus its output checksum ``r . X``.
+
+        With ``backward`` the output is the inverse DFT of ``x`` instead,
+        ``F(x)`` reversed and scaled by ``1/n``, and the checksum is still
+        the forward program's ``r . F(x)``: the one :meth:`encode` predicts.
+        """
 
         out = self.program.execute(x)
+        if not backward:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return out, complex(np.dot(self.r, out))
+        if self.n >= _NATIVE_MIN_ELEMENTS and self.program.native is not None:
+            # The program ran in C: finish there too, in place, in one pass.
+            # reprolint: alloc-ok - p residue-class sums, not an n-vector
+            sums = np.empty(self.p, dtype=np.complex128)
+            self.program.native.finish_inverse(out, sums)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return out, complex(np.dot(self.r[: self.p], sums))
         with np.errstate(over="ignore", invalid="ignore"):
-            return out, complex(np.dot(self.r, out))
+            rx = complex(np.dot(self.r, out))
+        # reprolint: alloc-ok - the inverse's output: F(x) reversed, then
+        # scaled in place through its float64 view, as the C finish scales
+        inverse = np.concatenate((out[:1], out[:0:-1]))
+        parts = inverse.view(np.float64)
+        parts *= 1.0 / self.n
+        return inverse, rx
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

@@ -20,6 +20,9 @@ check; these tests pin down the equivalences that make that safe:
   encode and transform (memory) or inside the transform (computational).
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,8 +35,11 @@ from repro.core.thresholds import ThresholdMode, ThresholdPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
 from repro.fftlib import executor
-from repro.fftlib.executor import clear_program_cache, get_program
+from repro.fftlib.executor import StageProgram, clear_program_cache, get_program
+from repro.fftlib.native import NativeProgram, native_supported
 from repro.fftlib.protected import ProtectedStageProgram, get_protected_program
+
+HAVE_NATIVE = native_supported()
 
 # codelet-only, mixed-radix, and prime (Bluestein) sizes
 SIZES = [64, 720, 4096, 1009]
@@ -82,11 +88,22 @@ class TestFusedSpectrum:
         assert np.allclose(back, x, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 720, 4096, 262144])
-    def test_in_place_inverse_equals_conj_of_forward_over_n(self, n):
+    def test_inverse_equals_reversed_forward_over_n(self, n, monkeypatch):
+        # ifft(X)[j] = F(X)[(n - j) mod n] / n, bitwise: the NumPy finish
+        # (1, 720) and the C finish (4096, 262144) reorder and scale exactly.
+        finishes = []
+        original = NativeProgram.finish_inverse
+        monkeypatch.setattr(
+            NativeProgram,
+            "finish_inverse",
+            lambda self, y, sums: finishes.append(1) or original(self, y, sums),
+        )
         spectrum = _data(n, seed=3)
         p = repro.plan(n)
-        forward = p.execute(np.conj(spectrum)).output
-        assert np.array_equal(p.inverse(spectrum).output, np.conj(forward) / n)
+        forward = p.execute(spectrum).output
+        expected = forward[(-np.arange(n)) % n] * (1.0 / n)
+        assert np.array_equal(p.inverse(spectrum).output, expected)
+        assert len(finishes) == (n >= executor._NATIVE_MIN_ELEMENTS and HAVE_NATIVE)
 
     @pytest.mark.parametrize("n", [720, 4096, 262144])
     def test_execute_tapped_is_the_program_plus_one_dot(self, n):
@@ -298,6 +315,123 @@ class TestFusedRecovery:
         monkeypatch.setattr(ProtectedStageProgram, "execute_tapped", always_corrupt)
         result = p._execute_fused(_data(n))
         assert result.report.uncorrectable
+
+
+class TestFusedInverseRecovery:
+    """The fused inverse's check and recovery loop are the forward's.
+
+    720 finishes in NumPy, 4096 in C.  Faults are injected through the
+    program run the inverse shares with the forward (``StageProgram.execute``):
+    into ``X`` before the transform (memory), into ``F(X)`` before the finish
+    (computational).
+    """
+
+    @pytest.mark.parametrize("n", [720, 4096])
+    def test_memory_corruption_between_encode_and_transform(self, n, monkeypatch):
+        p = repro.plan(n, "opt-online+mem")
+        X = _data(n)
+        keep = X.copy()
+        state = {"hits": 0}
+        original = StageProgram.execute
+
+        def corrupt_input_once(self, x):
+            state["hits"] += 1
+            if state["hits"] == 1:
+                x[13] += 1e6  # in-place: simulates memory corruption
+            return original(self, x)
+
+        monkeypatch.setattr(StageProgram, "execute", corrupt_input_once)
+        result = p.inverse(X)
+        monkeypatch.undo()
+        kinds = [c.kind for c in result.report.corrections]
+        assert "memory-correct" in kinds and "restart" in kinds
+        assert not result.report.uncorrectable
+        # reprolint: fft-ok - independent oracle for the inverse
+        assert np.allclose(result.output, np.fft.ifft(keep), rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [720, 4096])
+    def test_computational_fault_recovered_by_restart(self, n, monkeypatch):
+        p = repro.plan(n)
+        X = _data(n)
+        clean = p.inverse(X).output
+        state = {"hits": 0}
+        original = StageProgram.execute
+
+        def corrupt_output_once(self, x):
+            out = original(self, x)
+            state["hits"] += 1
+            if state["hits"] == 1:
+                out[3] += 1e6  # computational fault in the transform
+            return out
+
+        monkeypatch.setattr(StageProgram, "execute", corrupt_output_once)
+        result = p.inverse(X)
+        monkeypatch.undo()
+        assert state["hits"] == 2, "verification failure must trigger a re-run"
+        assert not result.report.uncorrectable
+        assert [c.kind for c in result.report.corrections] == ["restart"]
+        assert np.array_equal(result.output, clean)
+
+    @pytest.mark.parametrize("n", [720, 4096])
+    def test_persistent_corruption_reported_uncorrectable(self, n, monkeypatch):
+        p = repro.plan(n)
+        original = StageProgram.execute
+
+        def always_corrupt(self, x):
+            out = original(self, x)
+            out[3] += 1e6
+            return out
+
+        monkeypatch.setattr(StageProgram, "execute", always_corrupt)
+        result = p.inverse(_data(n))
+        assert result.report.uncorrectable
+
+    @pytest.mark.skipif(not HAVE_NATIVE, reason="no C finish without the native tier")
+    @pytest.mark.parametrize("n", [4096, 262144])
+    def test_c_and_numpy_finishes_agree(self, n, monkeypatch):
+        native = FTPlan(n)
+        assert native._fused_program.program.native is not None
+        numpy_finish = FTPlan(n)
+        numpy_finish._fused_program = dataclasses.replace(
+            native._fused_program, program=StageProgram(n)
+        )
+        X = _data(n)
+        for corrupt in (False, True):
+            if corrupt:
+                original = StageProgram.execute
+
+                def always_corrupt(self, x):
+                    out = original(self, x)
+                    out[7] += 1e3
+                    return out
+
+                monkeypatch.setattr(StageProgram, "execute", always_corrupt)
+            a, b = native.inverse(X), numpy_finish.inverse(X)
+            monkeypatch.undo()
+            assert np.allclose(a.output, b.output, rtol=1e-12, atol=1e-14)
+            for report in (a.report, b.report):
+                assert report.detected == corrupt
+                assert bool(report.uncorrectable) == corrupt
+            ra, rb = (
+                [v.residual for v in r.report.verifications if v.site == "fused-ccv"]
+                for r in (a, b)
+            )
+            assert np.allclose(ra, rb, rtol=1e-6, atol=1e-9 * float(np.sqrt(n)))
+
+    @pytest.mark.skipif(not HAVE_NATIVE, reason="the NumPy finish copies its output")
+    def test_fault_free_inverse_allocates_only_its_output(self):
+        n = 1 << 18
+        p = repro.plan(n)
+        X = _data(n)
+        p.inverse(X)  # warm: the program's work buffers are thread-local
+        tracemalloc.start()
+        try:
+            result = p.inverse(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.report.detected
+        assert peak < 1.5 * X.nbytes, peak / X.nbytes
 
 
 class TestBatchAmortization:

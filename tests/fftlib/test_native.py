@@ -10,9 +10,11 @@ stampede.
 """
 
 import os
+import re
 import subprocess
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +28,14 @@ from repro.fftlib.executor import (
     get_program,
 )
 from repro.fftlib.native import (
+    CODELET_RADICES,
     GENERIC_BASE_MAX,
     build_native_program,
     native_info,
     native_supported,
     native_unavailable_reason,
 )
+from repro.fftlib.native.generator import LANES
 from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft
 
 HAVE_NATIVE = native_supported()
@@ -44,6 +48,11 @@ needs_native = pytest.mark.skipif(
 #: small generic bases (3, 5, 6, 7) alone and under radix-16 combines, zero to
 #: three combine stages
 NATIVE_SIZES = [2, 3, 5, 6, 7, 8, 16, 64, 96, 1536, 4096, 20480, 24576]
+
+#: the line-blocked combines: one size per generic base 5, 6 and 7, whose
+#: first span (the base) is not a multiple of LANES so the remainder loop
+#: runs, and 2^18, whose spans all are
+LINE_BLOCKED_SIZES = [20480, 24576, 28672, 1 << 18]
 
 
 def _rng(n):
@@ -90,6 +99,22 @@ class TestDifferentialEquivalence:
         native = StageProgram(n, native=True).execute(X)
         assert kernel_calls == [rows]
         assert np.allclose(native, pure, atol=1e-12 * np.max(np.abs(pure)))
+
+    @needs_native
+    @pytest.mark.parametrize("n", LINE_BLOCKED_SIZES)
+    def test_line_blocked_combines_match_pure(self, n, kernel_calls):
+        program = get_program(n)
+        assert {stage.radix for stage in program.stages} == {16}
+        assert (program.stages[0].span % LANES != 0) == (n != 1 << 18)
+        rows = _rows_past_crossover(n)
+        X = _batch(n, rows, seed=5)
+        pure = StageProgram(n).execute(X)
+        # execute runs the twiddled codelet at every stage; execute_into
+        # (three stages, an odd count) runs the plain one at the first
+        outs = [program.execute(X), program.execute_into(X.copy(), np.empty_like(X))]
+        assert kernel_calls == [rows, rows]
+        for out in outs:
+            assert np.allclose(out, pure, atol=1e-12 * np.max(np.abs(pure)))
 
     @needs_native
     @pytest.mark.parametrize("n", [256, 1536, 4096])
@@ -183,6 +208,26 @@ class TestDispatch:
             base, radices = executor.lower(n)
             if base in native_mod.CODELET_RADICES or base <= GENERIC_BASE_MAX:
                 assert set(radices) <= {16}, (n, base, radices)
+
+    def test_generated_source_combines_with_radix_16_only(self):
+        source = native_mod.generate_source()
+        defined = set(re.findall(r"static void (\w+)\(", source))
+        assert {name for name in defined if name.startswith("combine_")} == {
+            "combine_16_tw",
+            "combine_16_plain",
+        }
+        assert {f"base_{r}" for r in CODELET_RADICES} <= defined
+
+    def test_other_combine_radices_fall_back_with_a_reason(self):
+        program = StageProgram(4096)
+        odd = SimpleNamespace(
+            n=program.n,
+            base=program.base,
+            base_kind=program.base_kind,
+            stages=[SimpleNamespace(radix=8)],
+        )
+        native, reason = build_native_program(odd)
+        assert native is None and "combine radix 8" in reason
 
     @needs_native
     def test_calls_below_the_crossover_run_numpy_bodies(self, kernel_calls):
