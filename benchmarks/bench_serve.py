@@ -1,12 +1,12 @@
 """Transform-server load benchmark: micro-batched serving vs one-per-execute.
 
 Starts the daemon in-process (:class:`repro.server.app.ServerThread`) twice
-per configuration - once with micro-batching on (window 0 = opportunistic
-coalescing: concurrent arrivals already queued when the event loop goes
-idle share one batch) and once with ``max_batch=1`` (every request runs
-alone through ``FTPlan.execute``, the pre-server cost model) - and drives
-both with the same closed-loop client threads over keep-alive unix-socket
-connections.  Per ``(n, concurrency)`` cell it records:
+per configuration - once with micro-batching on (window 0: requests the
+daemon reads in the same event-loop turn share one batch) and once with
+``max_batch=1`` (every request runs alone through ``FTPlan.execute``, the
+pre-server cost model) - and drives both with the same closed-loop client
+threads over keep-alive unix-socket connections.  Per ``(n, concurrency)``
+cell it records:
 
 * ``rps``    - completed requests per second over the whole timed phase;
 * ``p50_ms`` / ``p99_ms`` - request latency percentiles across every
@@ -24,6 +24,14 @@ checksum encoding, and threshold statistics across the rows that coalesce
 into one batch; at concurrency 1 there is never a peer to coalesce with
 and the ratio sits near 1x by construction.
 
+The load threads above fire on every connection in lockstep, so no
+connection is ever idle.  One more cell measures that case at
+``n = GATE_N``, batched mode: a single closed-loop connection with a
+second connection held open and idle, against the same connection alone
+(``IDLE_PEER_REQUESTS`` requests per round, rounds interleaved, best p50
+of each side).  ``idle_peer_over_solo_p50`` is the ratio of the two p50s:
+a batcher that makes a lone request wait for peers shows up here.
+
 Machine-readable results land in ``BENCH_serve.json`` at the repository
 root (tracked in version control, like ``BENCH_fft_speed.json``); the
 human-readable table lands in ``benchmarks/results/serve_load.txt``.
@@ -38,7 +46,9 @@ criterion that batched serving sustains at least
 ``BATCHED_MIN_RATIO`` (2x) the single-dispatch requests/sec at
 ``n >= GATE_N`` (4096) and concurrency >= ``GATE_CONCURRENCY`` (8), and
 that no cell's ratio drops below 0.8x (the window must never *cost*
-throughput).
+throughput).  The idle-connection cell has an absolute budget on the fresh
+numbers: ``idle_peer_over_solo_p50`` at most ``IDLE_PEER_MAX_RATIO``
+(1.5x).
 
 ``--smoke`` is the CI serve leg: spawn ``python -m repro.cli serve`` as a
 real subprocess on a unix socket, assert ``/healthz`` and ``/metrics``
@@ -112,6 +122,13 @@ GATE_CONCURRENCY = 8
 #: batch holds one row and the ratio measures pure batcher overhead plus
 #: one window of added latency) the ratio must stay near parity.
 BATCHED_FLOOR_ANYWHERE = 0.8
+
+#: The idle-connection cell: requests per round on the one busy connection,
+#: and the budget on its p50 beside an idle connection over its p50 alone.
+#: An idle peer must not make a lone request wait; both sides come from the
+#: same process, interleaved, so the budget holds on fresh numbers.
+IDLE_PEER_REQUESTS = 600
+IDLE_PEER_MAX_RATIO = 1.5
 
 
 def _counter_total(name: str) -> int:
@@ -217,16 +234,27 @@ def _drive(
 
 
 def _measure_mode(
-    n: int, concurrency: int, requests: int, *, window: float, max_batch: int
+    n: int,
+    concurrency: int,
+    requests: int,
+    *,
+    window: float,
+    max_batch: int,
+    idle_peer: bool = False,
 ) -> Dict[str, float]:
-    """One server lifecycle: start, drive, drain; returns the load stats."""
+    """One server lifecycle: start, drive, drain; returns the load stats.
+
+    ``idle_peer`` holds one more connection open, and idle, while the load
+    runs.
+    """
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-serve-")
     sock = os.path.join(tmp, "serve.sock")
-    server = ServerThread(
-        port=None, unix_path=sock, window=window, max_batch=max_batch, workers=1
-    ).start()
+    server = ServerThread(port=None, unix_path=sock, window=window, max_batch=max_batch).start()
+    idle = Client(server.address)  # connects on its first request
     try:
+        if idle_peer:
+            idle.healthz()  # the server has accepted it before the load starts
         transforms_before = _counter_total("server_transforms")
         batches_before = _counter_total("server_batches")
         stats = _drive(server.address, n, concurrency, requests)
@@ -235,6 +263,7 @@ def _measure_mode(
         stats["mean_batch"] = float(transforms / batches) if batches else 1.0
         return stats
     finally:
+        idle.close()
         server.stop()
         if os.path.exists(sock):
             os.unlink(sock)
@@ -255,6 +284,30 @@ def _best_of(rounds: List[Dict[str, float]]) -> Dict[str, float]:
     return max(rounds, key=lambda stats: stats["rps"])
 
 
+def run_idle_peer(rounds: int, *, window: float, max_batch: int) -> Dict[str, float]:
+    """The idle-connection cell: one closed-loop connection at ``GATE_N``,
+    beside an open idle connection and alone, rounds interleaved."""
+
+    solo: List[float] = []
+    beside_idle: List[float] = []
+    for _ in range(rounds):
+        for idle_peer, samples in ((False, solo), (True, beside_idle)):
+            stats = _measure_mode(
+                GATE_N, 1, IDLE_PEER_REQUESTS,
+                window=window, max_batch=max_batch, idle_peer=idle_peer,
+            )
+            samples.append(stats["p50_ms"])
+    # best (lowest) p50 per side: contention noise only ever adds latency
+    return {
+        "n": GATE_N,
+        "requests": IDLE_PEER_REQUESTS,
+        "rounds": rounds,
+        "solo_p50_ms": min(solo),
+        "idle_peer_p50_ms": min(beside_idle),
+        "idle_peer_over_solo_p50": min(beside_idle) / min(solo),
+    }
+
+
 def run(write: bool = True) -> dict:
     sizes = env_int_list("REPRO_BENCH_SERVE_SIZES", DEFAULT_SIZES)
     concurrency_levels = env_int_list("REPRO_BENCH_SERVE_CONCURRENCY", DEFAULT_CONCURRENCY)
@@ -266,7 +319,7 @@ def run(write: bool = True) -> dict:
     # Warm the process-wide plan cache once so neither mode pays the
     # compile inside its timed phase (the in-process ServerThread shares
     # this cache, exactly like the daemon's --warm flag).
-    for n in sizes:
+    for n in sorted(set(sizes) | {GATE_N}):
         warm = repro.plan(int(n), CONFIG)
         warm.execute_many(np.zeros((1, warm.n), dtype=np.complex128))
 
@@ -325,6 +378,14 @@ def run(write: bool = True) -> dict:
                 f"{single['p50_ms']:.2f}/{single['p99_ms']:.2f}",
             )
 
+    idle_peer = run_idle_peer(rounds, window=window, max_batch=max_batch)
+    print(
+        f"idle-connection cell (n={GATE_N}, 1 busy connection): p50 "
+        f"{idle_peer['idle_peer_p50_ms']:.2f} ms beside an idle connection, "
+        f"{idle_peer['solo_p50_ms']:.2f} ms alone = "
+        f"{idle_peer['idle_peer_over_solo_p50']:.2f}x"
+    )
+
     payload = {
         "benchmark": "bench_serve",
         "description": (
@@ -345,6 +406,7 @@ def run(write: bool = True) -> dict:
         "max_batch": max_batch,
         "requests_per_client": requests,
         "results": results,
+        "idle_peer": idle_peer,
     }
     if write:
         JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -389,6 +451,19 @@ def check_batched_floor(rows: list, label: str) -> list:
                 f"the {BATCHED_FLOOR_ANYWHERE}x parity floor ({label})"
             )
     return violations
+
+
+def check_idle_peer(payload: dict, label: str) -> list:
+    """Budget violations of the idle-connection cell, as strings."""
+
+    cell = payload["idle_peer"]
+    if cell["idle_peer_over_solo_p50"] <= IDLE_PEER_MAX_RATIO:
+        return []
+    return [
+        f"n={cell['n']} idle connection: idle_peer_over_solo_p50 "
+        f"{cell['idle_peer_over_solo_p50']:.2f} over the {IDLE_PEER_MAX_RATIO}x "
+        f"budget ({cell['idle_peer_p50_ms']:.2f} vs {cell['solo_p50_ms']:.2f} ms, {label})"
+    ]
 
 
 def check_against_reference(payload: dict, reference: dict, tolerance: float) -> list:
@@ -450,6 +525,7 @@ def run_check() -> int:
         )
     ]
     regressions = check_against_reference(payload, reference, tolerance)
+    regressions += check_idle_peer(payload, "fresh run")
     if regressions:
         print("\nserve benchmark regression gate FAILED:")
         for line in regressions:
@@ -457,7 +533,9 @@ def run_check() -> int:
         return 1
     print(
         f"\nserve benchmark regression gate passed: cells {compared} within "
-        f"{tolerance}x of the committed ratios"
+        f"{tolerance}x of the committed ratios; idle connection "
+        f"{payload['idle_peer']['idle_peer_over_solo_p50']:.2f}x within "
+        f"{IDLE_PEER_MAX_RATIO}x"
     )
     return 0
 
@@ -566,6 +644,7 @@ if __name__ == "__main__":
     payload = run()
     check(payload)
     violations = check_batched_floor(payload["results"], "fresh run")
+    violations += check_idle_peer(payload, "fresh run")
     if violations:
         print("\nabsolute serve-benchmark floors FAILED for the regenerated numbers:")
         for line in violations:

@@ -417,7 +417,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         unix_path=args.unix,
         window=args.window_ms / 1000.0,
         max_batch=args.max_batch,
-        workers=args.workers,
         max_payload=args.max_payload_mb * 1024 * 1024,
     )
 
@@ -427,7 +426,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"listening on {address}")
         print(
             f"micro-batch window {server.window * 1e3:.1f} ms, "
-            f"max batch {server.max_batch}, {server.workers} worker(s)"
+            f"max batch {server.max_batch}"
         )
         sys.stdout.flush()
         await server.serve_forever(install_signal_handlers=True)
@@ -565,9 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--window-ms", type=float, default=0.0, metavar="MS",
         help="micro-batch window: how long the first request of a "
-             "(n, config) group waits for peers.  The default 0 batches "
-             "opportunistically - everything already queued when the event "
-             "loop goes idle coalesces, adding no latency; a positive "
+             "(n, config) group waits for peers.  The default 0 waits for "
+             "nothing - requests read in the same event-loop turn share a "
+             "batch that runs on the next turn, with no timer; a positive "
              "window holds the batch open on a timer (useful for sparse "
              "open-loop traffic, but it stalls closed-loop clients)",
     )
@@ -575,11 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=32, metavar="B",
         help="flush a group early at B rows; 1 disables batching and "
              "serves one execute() per request (default 32)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=1, metavar="W",
-        help="executor threads running execute_many batches (default 1; "
-             "numpy releases the GIL inside the kernels)",
     )
     serve.add_argument(
         "--max-payload-mb", type=int, default=64, metavar="MB",

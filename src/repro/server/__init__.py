@@ -1,10 +1,10 @@
 """Always-on transform serving: micro-batching daemon over the plan cache.
 
 ``repro serve`` runs :class:`TransformServer`: an asyncio HTTP/1.1 daemon
-(localhost TCP and/or a unix socket, stdlib only) that groups concurrent
-same-``(n, config)`` transform requests inside a short micro-batch window
+(localhost TCP and/or a unix socket, stdlib only) that groups the
+same-``(n, config)`` transform requests it reads in one event-loop turn
 and executes each group through one
-:meth:`repro.core.ftplan.FTPlan.execute_many` call on the daemon's executor
+:meth:`repro.core.ftplan.FTPlan.execute_many` call on the loop itself
 - the amortized threshold statistics and vectorized ABFT verification of
 the batched library path, turned into sustained multi-client throughput.  See
 ``docs/serving.md`` for the operator's guide and

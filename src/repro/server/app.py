@@ -18,15 +18,18 @@ socket.  Endpoints:
     :func:`repro.telemetry.prometheus_exposition`).
 
 Connections are keep-alive and serve requests sequentially; concurrency
-comes from many connections, which is also what makes the micro-batch
-window fill up.  Every observability endpoint counts itself *before*
-rendering, so a scrape's body already includes that scrape - and a
-quiesced process renders the same bytes from the CLI afterwards.
+comes from many connections, whose requests read in the same event-loop
+turn share a micro-batch.  Everything runs on the one event-loop thread,
+batches included, so while a batch runs no other request (observability
+endpoints and new connections too) is served.  Every observability
+endpoint counts itself *before* rendering, so a scrape's body already
+includes that scrape - and a quiesced process renders the same bytes from
+the CLI afterwards.
 
 Graceful drain: SIGTERM (via :meth:`TransformServer.request_shutdown`)
-stops accepting connections, answers new transforms with 503, lets queued
-and in-flight batches complete and deliver, then closes lingering
-keep-alive connections and the worker pool.
+stops accepting connections, answers new transforms with 503, runs the
+queued batches and delivers their replies, then closes lingering
+keep-alive connections.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ __all__ = ["DEFAULT_PORT", "DEFAULT_MAX_PAYLOAD", "TransformServer", "ServerThre
 DEFAULT_PORT = 8791
 #: payload ceiling (bytes): 64 MiB = a 4M-point complex row
 DEFAULT_MAX_PAYLOAD = 64 * 1024 * 1024
+#: header lines one request may carry (the stdlib ``http.client`` cap)
+MAX_HEADERS = 100
 
 _REASONS = {
     200: "OK",
@@ -68,7 +73,7 @@ class TransformServer:
     Construct, then ``await start()`` inside a running event loop;
     ``await run()`` is the start-serve-drain convenience the CLI uses.
     All mutable state is confined to the loop thread except the telemetry
-    counters (sharded) and the executor-side jobs.
+    counters (sharded).
     """
 
     def __init__(
@@ -79,7 +84,6 @@ class TransformServer:
         unix_path: Optional[str] = None,
         window: float = 0.0,
         max_batch: int = 32,
-        workers: int = 1,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
     ) -> None:
         if port is None and unix_path is None:
@@ -89,7 +93,6 @@ class TransformServer:
         self.unix_path = unix_path
         self.window = max(0.0, float(window))
         self.max_batch = max(1, int(max_batch))
-        self.workers = max(1, int(workers))
         self.max_payload = int(max_payload)
         #: TCP port actually bound (resolves ``port=0`` ephemeral binds)
         self.bound_port: Optional[int] = None
@@ -113,16 +116,7 @@ class TransformServer:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._started_at = time.monotonic()
-        self._batcher = Batcher(
-            self._loop,
-            window=self.window,
-            max_batch=self.max_batch,
-            workers=self.workers,
-            # Zero-window batching target: open connections bound how many
-            # requests can be in flight, so a group that reaches this count
-            # flushes without waiting for its grace timer.
-            peers=lambda: self._connections,
-        )
+        self._batcher = Batcher(self._loop, window=self.window, max_batch=self.max_batch)
         # A transform frame at n=4096 is ~64 KiB; asyncio's default 64 KiB
         # stream limit makes readexactly drain it in watermark-sized nibbles
         # (measured ~2x the per-frame streaming cost).  Size the buffer to
@@ -171,7 +165,7 @@ class TransformServer:
             self._stop.set()
 
     async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop listening, drain pending work, release the worker pool."""
+        """Stop listening, drain pending work, close the connections."""
 
         if self._finished:
             return
@@ -185,7 +179,6 @@ class TransformServer:
             _trace.emit(
                 "serve-drain",
                 pending_rows=0 if self._batcher is None else self._batcher.pending_rows,
-                inflight=0 if self._batcher is None else self._batcher.inflight_batches,
             )
         for server in self._servers:
             server.close()
@@ -193,9 +186,12 @@ class TransformServer:
             await server.wait_closed()
         self._servers = []
         if self._batcher is not None and drain:
-            await self._batcher.drain()
+            self._batcher.drain()
+            # The drained batches resolved their rows' futures; one loop turn
+            # lets those handlers write their replies before the close below.
+            await asyncio.sleep(0)
         # Idle keep-alive connections would otherwise pin the process; the
-        # drained responses above are already flushed.
+        # drained responses above are already written.
         for writer in list(self._writers):
             writer.close()
         if self._handlers:
@@ -241,10 +237,8 @@ class TransformServer:
             "draining": self._draining,
             "connections": self._connections,
             "pending_rows": 0 if batcher is None else batcher.pending_rows,
-            "inflight_batches": 0 if batcher is None else batcher.inflight_batches,
             "window_ms": self.window * 1000.0,
             "max_batch": self.max_batch,
-            "workers": self.workers,
         }
 
     # ------------------------------------------------------------------
@@ -291,21 +285,32 @@ class TransformServer:
 
         Oversized bodies are rejected from the Content-Length header alone -
         the payload is never buffered - and the connection closes (the
-        stream cannot be resynchronised without reading the body).
+        stream cannot be resynchronised without reading the body).  The
+        head is bounded too: a request or header line longer than
+        :data:`protocol.MAX_HEAD_BYTES`, or more than :data:`MAX_HEADERS`
+        header lines, is refused the same way.
         """
 
         line = await reader.readline()
         if not line:
             return None
+        _check_head_line(line)
         try:
             method, path, _version = line.decode("latin-1").split()
         except ValueError:
             raise ProtocolError("malformed HTTP request line") from None
         length = 0
+        headers = 0
         while True:
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
+            headers += 1
+            if headers > MAX_HEADERS:
+                raise ProtocolError(
+                    f"more than {MAX_HEADERS} header lines", status=413, kind="oversized"
+                )
+            _check_head_line(header)
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
                 try:
@@ -433,6 +438,16 @@ class TransformServer:
             return await self._send(writer, exc.status, "application/json", body, close=True)
         except (ConnectionResetError, BrokenPipeError):
             return False
+
+
+def _check_head_line(line: bytes) -> None:
+    if len(line) > protocol.MAX_HEAD_BYTES:
+        raise ProtocolError(
+            f"HTTP head line of {len(line)} bytes exceeds the "
+            f"{protocol.MAX_HEAD_BYTES} byte limit",
+            status=413,
+            kind="oversized",
+        )
 
 
 class ServerThread:

@@ -1,36 +1,30 @@
 """Micro-batch scheduler: same-``(n, config)`` requests share one ``execute_many``.
 
-Concurrent clients rarely arrive at the same instant, but they do arrive
-within a few hundred microseconds of each other under load.  Every row of
-the same ``(n, canonical config)`` key that lands inside one batching
-window joins one group, and the group executes as a single
-:meth:`repro.core.ftplan.FTPlan.execute_many` call on a worker thread.
-That is the whole point of serving through the plan cache: the batched
-path samples the robust threshold statistics once per batch, runs one
-matmul per checksum vector, and verifies every row in one pass - overheads
-that a one-request-per-``execute`` front end pays per request.
+Every row of the same ``(n, canonical config)`` key that waits at the same
+time joins one group, and the group executes as a single
+:meth:`repro.core.ftplan.FTPlan.execute_many` call.  That is the whole
+point of serving through the plan cache: the batched path samples the
+robust threshold statistics once per batch, runs one matmul per checksum
+vector, and verifies every row in one pass - overheads that a
+one-request-per-``execute`` front end pays per request.
 
-``window=0`` (the default) is *connection-aware opportunistic* batching:
-the number of open connections bounds how many requests can possibly be
-in flight, so the first request of a group sets
-``target = min(open connections, max_batch)`` and the group flushes the
-moment it holds ``target`` rows - the full concurrent burst coalesces
-with zero added latency.  A short grace timer (:data:`Batcher.IDLE_GRACE`,
-re-armed while the group keeps growing) bounds the wait when some
-connections are idle and the target is never reached; a lone connection
-(``target == 1``) dispatches synchronously on arrival.  A positive
-``window`` instead holds every group open for exactly that long - larger
-batches under sparse open-loop traffic, but closed-loop clients stall on
-the timer (throughput caps at ``max_batch / window``).
+``window=0`` (the default) batches without waiting: the first row of a
+group schedules the group's flush with ``loop.call_soon``, so the group
+runs on the next event-loop turn, after every request the loop read in
+the same turn has joined it.  No timer is armed and no row waits for a
+peer that may never send.  A positive ``window`` instead holds every
+group open for exactly that long - larger batches under sparse open-loop
+traffic, but closed-loop clients stall on the timer (throughput caps at
+``max_batch / window``).  A group that reaches ``max_batch`` runs at once.
 
 Threading model
 ---------------
-``append_request`` and ``_flush`` run on the event-loop thread only, so
-the group table needs no lock.  Execution happens on a small
-``ThreadPoolExecutor`` (numpy releases the GIL inside the kernels);
-results come back to the loop via ``asyncio.wrap_future`` and resolve the
-per-request futures there.  A client that disconnects mid-batch simply
-leaves a future nobody awaits - the batch itself is unaffected.
+Everything here runs on the event-loop thread: the group table needs no
+lock, and batches run inline, so a reply is ready the moment its batch
+returns - no thread handoff either way.  The price is that the loop
+serves nothing else while a batch runs; ``max_batch`` bounds that wait.
+A client that disconnects mid-batch simply leaves a future nobody
+awaits - the batch itself is unaffected.
 
 Fault-injection requests bypass batching: interior fault sites only fire
 in the scalar :meth:`FTPlan.execute` path (the batched path deliberately
@@ -43,8 +37,7 @@ batching against.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,31 +54,19 @@ GroupKey = Tuple[int, str]
 
 
 class _Group:
-    """Rows of one ``(n, config)`` key waiting for the window to close."""
+    """Rows of one ``(n, config)`` key waiting for their flush."""
 
-    __slots__ = ("rows", "futures", "handle", "seen", "target")
+    __slots__ = ("rows", "futures", "handle")
 
-    def __init__(self) -> None:
+    def __init__(self, handle: asyncio.Handle) -> None:
         self.rows: List[np.ndarray] = []
         self.futures: List["asyncio.Future[Reply]"] = []
-        self.handle: Optional[asyncio.TimerHandle] = None
-        #: zero-window bookkeeping: rows counted when the grace timer was
-        #: last armed, and the burst size that flushes without waiting
-        #: (``min(open connections, max_batch)`` at group creation).
-        self.seen = 0
-        self.target = 1
+        #: the scheduled flush: ``call_soon`` at window 0, else the window timer
+        self.handle = handle
 
 
 class Batcher:
-    """Group requests into micro-batches and run them on a worker pool."""
-
-    #: zero-window straggler grace (seconds): how long a group short of its
-    #: connection-count target waits for another arrival before flushing
-    #: anyway.  Re-armed on growth, so it bounds the quiet time after the
-    #: *last* arrival, not the total wait from the first - a full burst
-    #: never waits at all (the target trigger flushes it synchronously),
-    #: so this only prices the idle-connection case.
-    IDLE_GRACE = 500e-6
+    """Group requests into micro-batches and run them on the event loop."""
 
     def __init__(
         self,
@@ -93,21 +74,11 @@ class Batcher:
         *,
         window: float = 0.0,
         max_batch: int = 32,
-        workers: int = 1,
-        peers: Optional[Callable[[], int]] = None,
     ) -> None:
         self._loop = loop
         self._window = max(0.0, float(window))
         self._max_batch = max(1, int(max_batch))
-        #: how many requests could currently be in flight - the server
-        #: passes its open-connection count; standalone use defaults to 1
-        #: (every request dispatches on arrival).
-        self._peers: Callable[[], int] = peers if peers is not None else (lambda: 1)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(workers)), thread_name_prefix="repro-serve"
-        )
         self._groups: Dict[GroupKey, _Group] = {}
-        self._inflight: Set["asyncio.Future[List[Reply]]"] = set()
         self._closed = False
 
     # -- introspection (read from the loop thread by the collector) ----
@@ -123,19 +94,14 @@ class Batcher:
     def pending_rows(self) -> int:
         return sum(len(group.rows) for group in self._groups.values())
 
-    @property
-    def inflight_batches(self) -> int:
-        return len(self._inflight)
-
     # -- the per-request hot path (loop thread) ------------------------
     def append_request(self, head: RequestHead, row: np.ndarray) -> "asyncio.Future[Reply]":
         """Queue one request row; the future resolves to its reply.
 
         Hot per-request path between the frame parse and the flush trigger:
         one dict lookup and two list appends.  The first row of a group
-        arms the flush (the ``window`` timer, or the zero-window
-        connection-count target plus grace timer); filling the target or
-        ``max_batch`` flushes immediately.
+        schedules its flush (the next loop turn, or the ``window`` timer);
+        reaching ``max_batch`` flushes immediately.
         """
 
         fut: "asyncio.Future[Reply]" = self._loop.create_future()
@@ -145,196 +111,127 @@ class Batcher:
             )
             return fut
         if head.inject is not None or self._max_batch <= 1:
-            self._dispatch(_SingleJob(head, row), [fut])
+            _run([fut], _run_single, head, row)
             return fut
         key = (head.n, head.config)
         group = self._groups.get(key)
         if group is None:
-            group = _Group()
-            self._groups[key] = group
-            if self._window > 0.0:
-                group.handle = self._loop.call_later(self._window, self._flush, key)
-            else:
-                group.target = min(max(1, self._peers()), self._max_batch)
-                if group.target > 1:
-                    group.seen = 1
-                    group.handle = self._loop.call_later(
-                        self.IDLE_GRACE, self._idle_flush, key, group
-                    )
+            handle = (
+                self._loop.call_later(self._window, self._flush, key)
+                if self._window > 0.0
+                else self._loop.call_soon(self._flush, key)
+            )
+            group = self._groups[key] = _Group(handle)
         group.rows.append(row)
         group.futures.append(fut)
-        size = len(group.rows)
-        if size >= self._max_batch or (self._window == 0.0 and size >= group.target):
+        if len(group.rows) >= self._max_batch:
             self._flush(key)
         return fut
-
-    # -- flushing and delivery (loop thread) ---------------------------
-    def _idle_flush(self, key: GroupKey, group: _Group) -> None:
-        """Grace-timer expiry for a zero-window group short of its target.
-
-        The group was created while ``target > 1`` other connections were
-        open, so peers *may* still deliver rows; reaching the target (or
-        ``max_batch``) flushes synchronously in :meth:`append_request` and
-        this timer never fires.  When it does fire, the group grew by
-        fewer rows than the connection count promised: if it grew at all
-        during the last grace period the stragglers get one more
-        (re-armed) timer, otherwise the burst is over and the batch runs
-        with what it has.  The timer also matters for scheduling: a loop
-        parked in ``poll`` yields the GIL/CPU to the client threads whose
-        requests are still being written.
-        """
-
-        if self._groups.get(key) is not group:
-            return  # flushed by the target/max-batch trigger (or a new round)
-        size = len(group.rows)
-        if size > group.seen:
-            group.seen = size
-            group.handle = self._loop.call_later(
-                self.IDLE_GRACE, self._idle_flush, key, group
-            )
-            return
-        self._flush(key)
 
     def _flush(self, key: GroupKey) -> None:
         group = self._groups.pop(key, None)
         if group is None:
             return  # already flushed by the max-batch trigger
-        if group.handle is not None:
-            group.handle.cancel()
-        self._dispatch(_BatchJob(key, group.rows), group.futures)
-
-    def _dispatch(self, job: "_Job", futures: List["asyncio.Future[Reply]"]) -> None:
-        """Run ``job`` on the executor and route its replies to ``futures``."""
-
-        try:
-            cfut = self._executor.submit(job.run)
-        except RuntimeError:  # executor already shut down by drain()
-            self._fail(futures, ProtocolError("server is draining", status=503, kind="draining"))
-            return
-        afut = asyncio.wrap_future(cfut, loop=self._loop)
-        self._inflight.add(afut)
-
-        def deliver(done: "asyncio.Future[List[Reply]]") -> None:
-            self._inflight.discard(done)
-            if done.cancelled():
-                self._fail(
-                    futures, ProtocolError("batch cancelled", status=503, kind="draining")
-                )
-                return
-            exc = done.exception()
-            if exc is not None:
-                self._fail(futures, exc)
-                return
-            for fut, reply in zip(futures, done.result()):
-                # A done future here means the client disconnected while the
-                # batch ran; the other rows of the batch are unaffected.
-                if not fut.done():
-                    fut.set_result(reply)
-
-        afut.add_done_callback(deliver)
-
-    @staticmethod
-    def _fail(futures: List["asyncio.Future[Reply]"], exc: BaseException) -> None:
-        for fut in futures:
-            if not fut.done():
-                fut.set_exception(exc)
+        group.handle.cancel()
+        _run(group.futures, _run_batch, key, group.rows)
 
     # -- drain ---------------------------------------------------------
-    async def drain(self) -> None:
-        """Flush every waiting group, wait out in-flight batches, stop the pool.
+    def drain(self) -> None:
+        """Run every waiting group now and refuse new rows.
 
         New requests fail with 503 from the moment drain starts; rows that
-        were already queued or executing complete normally and their
-        responses are delivered - a SIGTERM never poisons an accepted batch.
+        were already queued execute and their futures resolve before this
+        returns - a SIGTERM never poisons an accepted batch.
         """
 
         self._closed = True
         for key in list(self._groups):
             self._flush(key)
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        self._executor.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
-# executor-side jobs (worker threads; everything here may allocate freely)
+# execution (loop thread; everything here may allocate freely)
 # ----------------------------------------------------------------------
 
-class _BatchJob:
+def _run(
+    futures: List["asyncio.Future[Reply]"], job: Callable[..., List[Reply]], *args: Any
+) -> None:
+    """Run ``job(*args)`` and resolve ``futures`` with its replies, in order.
+
+    A failure fails every row of the job (the server answers each with a
+    500); a future that is already done belongs to a client that went
+    away, and the other rows are unaffected.
+    """
+
+    try:
+        replies = job(*args)
+    except Exception as exc:  # plan/execute failure: report it on every row
+        for fut in futures:
+            if not fut.done():
+                fut.set_exception(exc)
+        return
+    for fut, reply in zip(futures, replies):
+        if not fut.done():
+            fut.set_result(reply)
+
+
+def _run_batch(key: GroupKey, rows: List[np.ndarray]) -> List[Reply]:
     """One flushed group: a single ``execute_many`` over the stacked rows."""
 
-    __slots__ = ("key", "rows")
-
-    def __init__(self, key: GroupKey, rows: List[np.ndarray]) -> None:
-        self.key = key
-        self.rows = rows
-
-    def run(self) -> List[Reply]:
-        n, config = self.key
-        batch = len(self.rows)
-        _metrics.inc("server_batches", config=config)
-        _metrics.inc("server_transforms", batch, config=config)
-        if _trace.active:
-            _trace.emit("serve-batch", n=n, config=config, rows=batch)
-        result = plan(n, config).execute_many(np.stack(self.rows))
-        out = result.output
-        dead = frozenset(result.uncorrectable_rows)
-        flagged = frozenset(result.fallback_rows) | dead
-        scheme = result.report.scheme
-        replies: List[Reply] = []
-        for index in range(batch):
-            meta = {
-                "ok": True,
-                "n": n,
-                "config": config,
-                "bins": int(out.shape[-1]),
-                "scheme": scheme,
-                "batch_size": batch,
-                "batch_index": index,
-                "report": {
-                    "detected": index in flagged,
-                    "corrected": index in flagged and index not in dead,
-                    "uncorrectable": index in dead,
-                },
-            }
-            replies.append((meta, out[index]))
-        return replies
-
-
-class _SingleJob:
-    """One solo request: scalar ``execute`` (interior fault sites live here)."""
-
-    __slots__ = ("head", "row")
-
-    def __init__(self, head: RequestHead, row: np.ndarray) -> None:
-        self.head = head
-        self.row = row
-
-    def run(self) -> List[Reply]:
-        head = self.head
-        _metrics.inc("server_transforms", config=head.config)
-        injector = build_injector(head.inject) if head.inject is not None else None
-        # The payload row is a read-only frombuffer view and the scalar path
-        # may corrupt its input in place (INPUT fault site): copy first.
-        result = plan(head.n, head.config).execute(np.array(self.row), injector)
-        report = result.report
+    n, config = key
+    batch = len(rows)
+    _metrics.inc("server_batches", config=config)
+    _metrics.inc("server_transforms", batch, config=config)
+    if _trace.active:
+        _trace.emit("serve-batch", n=n, config=config, rows=batch)
+    result = plan(n, config).execute_many(np.stack(rows))
+    out = result.output
+    dead = frozenset(result.uncorrectable_rows)
+    flagged = frozenset(result.fallback_rows) | dead
+    scheme = result.report.scheme
+    replies: List[Reply] = []
+    for index in range(batch):
         meta = {
             "ok": True,
-            "n": head.n,
-            "config": head.config,
-            "bins": int(result.output.shape[-1]),
-            "scheme": result.scheme or report.scheme,
-            "batch_size": 1,
-            "batch_index": 0,
+            "n": n,
+            "config": config,
+            "bins": int(out.shape[-1]),
+            "scheme": scheme,
+            "batch_size": batch,
+            "batch_index": index,
             "report": {
-                "detected": report.detected,
-                "corrected": report.corrected,
-                "uncorrectable": report.has_uncorrectable,
-                "corrections": report.correction_count,
-                "faults_fired": 0 if injector is None else injector.fired_count,
+                "detected": index in flagged,
+                "corrected": index in flagged and index not in dead,
+                "uncorrectable": index in dead,
             },
         }
-        return [(meta, result.output)]
+        replies.append((meta, out[index]))
+    return replies
 
 
-_Job = Any  # _BatchJob | _SingleJob (both expose .run() -> List[Reply])
+def _run_single(head: RequestHead, row: np.ndarray) -> List[Reply]:
+    """One solo request: scalar ``execute`` (interior fault sites live here)."""
+
+    _metrics.inc("server_transforms", config=head.config)
+    injector = build_injector(head.inject) if head.inject is not None else None
+    # The payload row is a read-only frombuffer view and the scalar path
+    # may corrupt its input in place (INPUT fault site): copy first.
+    result = plan(head.n, head.config).execute(np.array(row), injector)
+    report = result.report
+    meta = {
+        "ok": True,
+        "n": head.n,
+        "config": head.config,
+        "bins": int(result.output.shape[-1]),
+        "scheme": result.scheme or report.scheme,
+        "batch_size": 1,
+        "batch_index": 0,
+        "report": {
+            "detected": report.detected,
+            "corrected": report.corrected,
+            "uncorrectable": report.has_uncorrectable,
+            "corrections": report.correction_count,
+            "faults_fired": 0 if injector is None else injector.fired_count,
+        },
+    }
+    return [(meta, result.output)]

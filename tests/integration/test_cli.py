@@ -216,7 +216,7 @@ def daemon():
 
     tmp = tempfile.mkdtemp(prefix="repro-test-cli-")
     sock = os.path.join(tmp, "serve.sock")
-    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=32, workers=1)
+    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=32)
     thread.start()
     yield thread
     thread.stop()

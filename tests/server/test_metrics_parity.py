@@ -31,7 +31,7 @@ def test_metrics_endpoint_matches_inprocess_render():
     # registry) must reproduce the response byte for byte.
     tmp = tempfile.mkdtemp(prefix="repro-test-parity-")
     sock = os.path.join(tmp, "serve.sock")
-    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=8, workers=1)
+    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=8)
     thread.start()
     try:
         with Client(thread.address) as client:

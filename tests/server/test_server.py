@@ -10,13 +10,19 @@ path the CLI and the load benchmark use.  The load-bearing assertions:
 * live fault injection through the server detects and corrects, and the
   corrected spectrum still matches the clean reference;
 * a client disconnecting mid-batch does not poison its batchmates;
-* oversized and malformed requests are rejected with the right status
-  and machine-readable kind, and the connection state stays sane.
+* oversized and malformed requests (heads included) are rejected with the
+  right status and machine-readable kind, and the connection state stays
+  sane;
+* batches run inline on the event loop with no timer: a lone request never
+  waits for an idle peer, and other requests wait for the running batch.
 """
 
+import json
 import os
+import select
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ import pytest
 import repro
 from repro import telemetry
 from repro.client import Client, ServerError
-from repro.server import ServerThread
+from repro.server import ServerThread, batching, protocol
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -40,11 +46,19 @@ def _reference(n: int, config: str, x: np.ndarray) -> np.ndarray:
     return repro.plan(n, config).execute_many(x[np.newaxis]).output[0]
 
 
+def _send_raw(client: Client, head: bytes):
+    """Send raw request bytes on ``client``'s connection; ``(status, body)``."""
+
+    client._connect()
+    client._sock.sendall(head)
+    return client._read_response()
+
+
 @pytest.fixture(scope="module")
 def server():
     tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
     sock = os.path.join(tmp, "serve.sock")
-    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=32, workers=1)
+    thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=32)
     thread.start()
     yield thread
     thread.stop()
@@ -138,6 +152,23 @@ class TestTransform:
         assert reply.batch_size == 1  # injection bypasses batching
         assert np.allclose(reply.output, clean)
 
+    def test_zero_window_arms_no_timer(self, server, monkeypatch):
+        # A second connection sits open and idle; the lone request must not
+        # wait for it, and must not even arm a timer doing so.
+        x = _rows(256, real=False, seed=9)
+        loop = server.server._loop
+
+        def no_timer(*args, **kwargs):
+            raise AssertionError("the zero-window batcher armed a timer")
+
+        with Client(server.address) as idle, Client(server.address) as busy:
+            assert idle.healthz()["status"] == "ok"  # open from here on
+            with monkeypatch.context() as patch:
+                patch.setattr(loop, "call_later", no_timer)
+                reply = busy.transform(x, "opt-online+mem")
+        assert reply.batch_size == 1
+        assert np.array_equal(reply.output, _reference(256, "opt-online+mem", x))
+
 
 class TestHttpSurface:
     def test_malformed_frame(self, server):
@@ -157,6 +188,31 @@ class TestHttpSurface:
         with Client(server.address) as client:
             status, _ = client._request("GET", "/v1/transform")
         assert status == 405
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * protocol.MAX_HEAD_BYTES + b"\r\n\r\n",
+            b"GET /" + b"a" * protocol.MAX_HEAD_BYTES + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["too-many-header-lines", "long-header-line", "long-request-line"],
+    )
+    def test_oversized_head_refused(self, server, head):
+        with Client(server.address) as client:
+            status, payload = _send_raw(client, head)
+        assert status == 413
+        assert json.loads(payload)["kind"] == "oversized"
+        # The refusal closed that connection; a fresh one is served.
+        with Client(server.address) as client:
+            assert client.healthz()["status"] == "ok"
+
+    def test_head_at_the_header_cap_served(self, server):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 100 + b"\r\n"
+        with Client(server.address) as client:
+            status, payload = _send_raw(client, head)
+        assert status == 200
+        assert json.loads(payload)["status"] == "ok"
 
     def test_healthz(self, server):
         with Client(server.address) as client:
@@ -185,9 +241,7 @@ class TestFaultTolerance:
         # both rows share it; the first client walks away before the flush.
         tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
         sock = os.path.join(tmp, "serve.sock")
-        thread = ServerThread(
-            port=None, unix_path=sock, window=0.25, max_batch=32, workers=1
-        )
+        thread = ServerThread(port=None, unix_path=sock, window=0.25, max_batch=32)
         thread.start()
         try:
             x = _rows(256, real=False, seed=4)
@@ -214,9 +268,7 @@ class TestFaultTolerance:
         # one (n, config) group and coalesce into one micro-batch.
         tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
         sock = os.path.join(tmp, "serve.sock")
-        thread = ServerThread(
-            port=None, unix_path=sock, window=0.25, max_batch=32, workers=1
-        )
+        thread = ServerThread(port=None, unix_path=sock, window=0.25, max_batch=32)
         thread.start()
         try:
             xs = [_rows(256, real=False, seed=s) for s in (7, 8)]
@@ -233,12 +285,82 @@ class TestFaultTolerance:
                 os.unlink(sock)
             os.rmdir(tmp)
 
+    def test_healthz_waits_for_the_running_batch(self, monkeypatch):
+        # Batches run on the event loop, so a health check sent while one
+        # runs is answered once it finishes - the documented trade-off.
+        started, release = threading.Event(), threading.Event()
+        real_plan = batching.plan
+
+        class Gated:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def execute_many(self, rows):
+                started.set()
+                assert release.wait(60.0)
+                return self.inner.execute_many(rows)
+
+        monkeypatch.setattr(batching, "plan", lambda n, config: Gated(real_plan(n, config)))
+        tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
+        sock = os.path.join(tmp, "serve.sock")
+        thread = ServerThread(port=None, unix_path=sock, window=0.0, max_batch=32)
+        thread.start()
+        try:
+            x = _rows(256, real=False, seed=10)
+            with Client(thread.address) as busy, Client(thread.address) as watcher:
+                busy.submit(x, "opt-online+mem")
+                assert started.wait(60.0)
+                watcher._connect()
+                watcher._sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                unanswered, _, _ = select.select([watcher._sock], [], [], 0.2)
+                assert not unanswered  # the loop is inside the batch
+                release.set()
+                reply = busy.collect()
+                status, payload = watcher._read_response()
+            assert status == 200
+            assert json.loads(payload)["status"] == "ok"
+            assert reply.batch_size == 1
+            assert np.array_equal(reply.output, _reference(256, "opt-online+mem", x))
+        finally:
+            release.set()
+            thread.stop()
+            if os.path.exists(sock):
+                os.unlink(sock)
+            os.rmdir(tmp)
+
+    def test_drain_answers_queued_rows(self):
+        # A long window holds both rows queued; the drain runs them and
+        # their replies reach the clients before the connections close.
+        tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
+        sock = os.path.join(tmp, "serve.sock")
+        thread = ServerThread(port=None, unix_path=sock, window=60.0, max_batch=32)
+        thread.start()
+        try:
+            xs = [_rows(256, real=False, seed=s) for s in (11, 12)]
+            with Client(thread.address) as first, Client(thread.address) as second:
+                first.submit(xs[0], "opt-online+mem")
+                second.submit(xs[1], "opt-online+mem")
+                deadline = time.monotonic() + 60.0
+                with Client(thread.address) as probe:
+                    while probe.stats()["caches"]["server"]["pending_rows"] < 2:
+                        assert time.monotonic() < deadline, "rows never queued"
+                        time.sleep(0.01)
+                thread.stop()
+                replies = [first.collect(), second.collect()]
+            for x, reply in zip(xs, replies):
+                assert reply.batch_size == 2
+                assert np.array_equal(reply.output, _reference(256, "opt-online+mem", x))
+        finally:
+            thread.stop()
+            if os.path.exists(sock):
+                os.unlink(sock)
+            os.rmdir(tmp)
+
     def test_oversized_payload_rejected(self):
         tmp = tempfile.mkdtemp(prefix="repro-test-serve-")
         sock = os.path.join(tmp, "serve.sock")
         thread = ServerThread(
-            port=None, unix_path=sock, window=0.0, max_batch=32, workers=1,
-            max_payload=1024,
+            port=None, unix_path=sock, window=0.0, max_batch=32, max_payload=1024
         )
         thread.start()
         try:

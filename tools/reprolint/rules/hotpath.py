@@ -56,8 +56,8 @@ HOT_FILES = {
     # The serve daemon's per-request hot path: frame parse (head JSON +
     # zero-copy payload view; response encodes carry waivers for the one
     # response-buffer copy) and the batch append (dict lookup + two list
-    # appends between parse and flush).  Batch *execution* runs on worker
-    # threads through execute_many and is covered by ftplan's entries.
+    # appends between parse and flush).  Batch *execution* goes through
+    # execute_many and is covered by ftplan's entries.
     "src/repro/server/protocol.py": ("parse", "encode"),
     "src/repro/server/batching.py": ("append",),
 }
