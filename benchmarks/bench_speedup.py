@@ -1,11 +1,8 @@
-"""FFT engine speedup benchmark: compiled stage programs vs the seed paths.
+"""FFT engine speedup benchmark: compiled stage programs vs their baselines.
 
 Times, per size, on the same machine and interleaved (so machine-noise
 drifts cannot bias the ratios):
 
-* ``recursive`` - the seed-style recursive mixed-radix engine
-  (:func:`repro.fftlib.mixed_radix.fft`), i.e. the pre-compiled-path hot
-  loop;
 * ``compiled``  - ``plan_fft(n, backend="fftlib", native=False).execute``:
   the compiled iterative stage program of :mod:`repro.fftlib.executor` on
   its NumPy stage bodies (the baseline the other compiled columns are
@@ -63,7 +60,9 @@ compared against the *committed* ``BENCH_fft_speed.json`` (which is then
 left untouched) and the run fails when any tracked speedup ratio collapsed
 by more than ``REPRO_BENCH_CHECK_TOLERANCE`` (default 2.5x) - generous
 enough for machine noise across CI hosts, tight enough that "the compiled
-path silently lost its advantage" fails the PR instead of shipping.
+path silently lost its advantage" fails the PR instead of shipping.  It
+also fails when none of ``REPRO_BENCH_SIZES`` is in the committed
+reference: a gate that compares nothing must not pass.
 ``--check`` also enforces the *absolute* fused-protection budget on the
 committed reference, against the NumPy baseline
 (``protected_over_compiled_ratio``) and against the plan's own lowering
@@ -98,7 +97,6 @@ import numpy as np
 from _harness import env_int, env_int_list, interleaved_best, make_input, save_table
 
 import repro
-from repro.fftlib.mixed_radix import fft as recursive_fft
 from repro.fftlib.native import native_supported
 from repro.fftlib.planner import plan_fft
 from repro.utils.reporting import Table
@@ -110,7 +108,6 @@ DEFAULT_SIZES = (65536, 262144, 1048576)
 
 #: ratio keys guarded by ``--check``; True = higher is better.
 CHECKED_RATIOS = {
-    "speedup_compiled_vs_recursive": True,
     "speedup_real_vs_complex_engine": True,
     "speedup_inplace_vs_compiled": True,
     "speedup_native_vs_compiled": True,
@@ -229,14 +226,12 @@ def run(write: bool = True) -> dict:
         "FFT engine speedup (best-of interleaved timings)",
         [
             "n",
-            "recursive [ms]",
             "compiled [ms]",
             "native [ms]",
             "inplace [ms]",
             "numpy [ms]",
             "protected [ms]",
             "rfft [ms]",
-            "compiled speedup",
             "native vs compiled",
             "native vs numpy",
             "inplace vs compiled",
@@ -278,7 +273,6 @@ def run(write: bool = True) -> dict:
                 repro.telemetry.disable_trace()
 
         candidates = {
-            "recursive": lambda x=x: recursive_fft(x),
             "compiled": lambda x=x, p=compiled_plan: p.execute(x),
             "inplace": run_inplace,
             "numpy": lambda x=x, p=numpy_plan: p.execute(x),
@@ -306,7 +300,6 @@ def run(write: bool = True) -> dict:
         best = interleaved_best(
             candidates, repeats=repeats, warmup=1, inner=inner, estimator="min"
         )
-        speedup = best["recursive"] / best["compiled"]
         inplace_speedup = best["compiled"] / best["inplace"]
         protected_ratio = best["protected"] / best["compiled"]
         inverse_ratio = best["protected_inverse"] / best["protected"]
@@ -324,9 +317,6 @@ def run(write: bool = True) -> dict:
             {
                 "n": int(n),
                 "seconds": {name: float(t) for name, t in best.items()},
-                "speedup_compiled_vs_recursive": float(speedup),
-                "speedup_numpy_vs_recursive": float(best["recursive"] / best["numpy"]),
-                "speedup_protected_vs_recursive": float(best["recursive"] / best["protected"]),
                 "protected_over_compiled_ratio": float(protected_ratio),
                 "protected_over_native_ratio": protected_native_ratio,
                 "inverse_over_protected_ratio": float(inverse_ratio),
@@ -341,14 +331,12 @@ def run(write: bool = True) -> dict:
         )
         table.add_row(
             str(n),
-            f"{best['recursive'] * 1e3:.3f}",
             f"{best['compiled'] * 1e3:.3f}",
             f"{best['native'] * 1e3:.3f}" if with_native else "-",
             f"{best['inplace'] * 1e3:.3f}",
             f"{best['numpy'] * 1e3:.3f}",
             f"{best['protected'] * 1e3:.3f}",
             f"{best['rfft_compiled'] * 1e3:.3f}",
-            f"{speedup:.2f}x",
             f"{native_vs_compiled:.2f}x" if with_native else "-",
             f"{native_vs_numpy:.2f}x" if with_native else "-",
             f"{inplace_speedup:.2f}x",
@@ -363,9 +351,9 @@ def run(write: bool = True) -> dict:
         "benchmark": "bench_speedup",
         "description": (
             "plan_fft(n, native=False).execute (compiled stage programs on "
-            "NumPy bodies) vs the seed-style recursive mixed-radix engine, the "
-            "numpy backend, and the fully protected opt-online+mem plan (one "
-            "end-to-end check around the default, native lowering: "
+            "NumPy bodies) vs the numpy backend and the fully protected "
+            "opt-online+mem plan (one end-to-end check around the default, "
+            "native lowering: "
             "protected_over_native_ratio is its overhead over that lowering; "
             "inverse_over_protected_ratio is that plan's inverse over its "
             "forward); "
@@ -397,14 +385,13 @@ def run(write: bool = True) -> dict:
 
 
 def check(payload: dict) -> None:
-    """Assert the compiled paths beat their baselines.
+    """Assert the compiled real path beats the complex engine on real input.
 
     Enforced by both the pytest entry point and the ``__main__`` path CI's
     bench smoke actually executes, so a regression fails the run either way.
     """
 
     for row in payload["results"]:
-        assert row["speedup_compiled_vs_recursive"] > 1.0, row
         # Below ~2^14 both engines are dispatch-bound and the half-complex
         # flop advantage sits inside the noise band; only assert where the
         # ratio is meaningful.
@@ -418,8 +405,8 @@ def check_against_reference(payload: dict, reference: dict, tolerance: float) ->
     Only sizes present in both runs are compared (the CI smoke runs a small
     subset of the committed sweep).  A ratio regresses when it collapsed by
     more than ``tolerance`` relative to the recorded value - e.g. with the
-    default 2.5, a recorded 5x compiled-vs-recursive speedup fails below
-    2x.  Absolute milliseconds are deliberately not compared: CI hosts and
+    default 2.5, a recorded 2.5x native-vs-compiled speedup fails below
+    1x.  Absolute milliseconds are deliberately not compared: CI hosts and
     the machine that produced the committed numbers differ, ratios of
     same-machine interleaved timings do not.
     """
@@ -455,6 +442,15 @@ def run_check() -> int:
         return 2
     reference = json.loads(JSON_PATH.read_text(encoding="utf-8"))
     tolerance = float(os.environ.get("REPRO_BENCH_CHECK_TOLERANCE", "2.5"))
+    recorded = [row["n"] for row in reference.get("results", [])]
+    sizes = env_int_list("REPRO_BENCH_SIZES", DEFAULT_SIZES)
+    compared = [n for n in sizes if n in recorded]
+    if not compared:
+        print(
+            f"error: none of the sizes {sizes} is in the committed reference "
+            f"{recorded}, so the gate would compare nothing"
+        )
+        return 1
     # The committed numbers themselves must honor the protection budget -
     # this is deterministic (no fresh timing involved), so a regenerated
     # reference that busts the paper's overhead claim fails every CI run.
@@ -474,8 +470,6 @@ def run_check() -> int:
         return 1
     payload = run(write=False)  # never clobber the reference in check mode
     check(payload)
-    compared = [r["n"] for r in payload["results"]
-                if any(ref["n"] == r["n"] for ref in reference.get("results", []))]
     regressions = check_against_reference(payload, reference, tolerance)
     if regressions:
         print("\nbenchmark regression gate FAILED:")
@@ -490,7 +484,7 @@ def run_check() -> int:
 
 
 def test_bench_speedup():
-    """Pytest entry point: the compiled paths must beat their baselines."""
+    """Pytest entry point: the compiled real path must beat its baseline."""
 
     check(run())
 
@@ -517,10 +511,8 @@ if __name__ == "__main__":
             print(f"  - {line}")
         print("do not commit this BENCH_fft_speed.json")
         raise SystemExit(1)
-    worst = min(r["speedup_compiled_vs_recursive"] for r in payload["results"])
     worst_real = min(r["speedup_real_vs_complex_engine"] for r in payload["results"])
     worst_ip = min(r["speedup_inplace_vs_compiled"] for r in payload["results"])
-    print(f"worst compiled-vs-recursive speedup: {worst:.2f}x")
     print(f"worst rfft-vs-complex-engine speedup: {worst_real:.2f}x")
     print(f"worst inplace-vs-compiled ratio: {worst_ip:.2f}x")
     native_ratios = [

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +117,15 @@ def _scheme_name(name: str) -> str:
     except KeyError as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
     return name
+
+
+def _warm_spec(spec: str) -> Tuple[int, str]:
+    """``--warm`` type: ``N[:CONFIG]``, a positive size and a ``--scheme`` name."""
+
+    size_text, _, scheme = spec.partition(":")
+    if not size_text.isdecimal() or int(size_text) <= 0:
+        raise argparse.ArgumentTypeError(f"{spec!r} does not start with a positive size")
+    return int(size_text), _scheme_name(scheme or "opt-online+mem")
 
 
 def _wants_real(args: argparse.Namespace) -> bool:
@@ -396,12 +405,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.wisdom:
         from repro.fftlib.planner import get_default_planner
 
-        with open(args.wisdom, "r", encoding="utf-8") as handle:
-            get_default_planner().import_wisdom(json.load(handle))
+        # A bad snapshot is a usage error, reported before any port is bound.
+        try:
+            with open(args.wisdom, "r", encoding="utf-8") as handle:
+                get_default_planner().import_wisdom(json.load(handle))
+        except (OSError, ValueError) as exc:
+            args.usage_error(f"argument --wisdom: {args.wisdom}: {exc}")
         print(f"wisdom imported from {args.wisdom}")
-    for spec in args.warm or ():
-        size_text, _, scheme = spec.partition(":")
-        warm_plan = plan(int(size_text), scheme or "opt-online+mem")
+    for size, scheme in args.warm or ():
+        warm_plan = plan(size, scheme)
         # One throwaway execution compiles the stage programs, caches the
         # twiddles, and loads (or first builds) the native kernels up front.
         dtype = np.float64 if warm_plan.config.real else np.complex128
@@ -581,15 +593,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--wisdom", default=None, metavar="FILE",
-        help="import an export_wisdom() JSON snapshot before serving "
-             "(measured backend choices and twiddle hints start warm)",
+        help="import an export_wisdom() JSON snapshot before serving: "
+             "every plan key it names is lowered up front",
     )
     serve.add_argument(
-        "--warm", action="append", metavar="N[:CONFIG]",
+        "--warm", action="append", type=_warm_spec, metavar="N[:CONFIG]",
         help="pre-build the plan for this size (and config; default "
              "opt-online+mem) before accepting traffic; repeatable",
     )
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_cmd_serve, usage_error=serve.error)
 
     submit = sub.add_parser(
         "submit", help="send a transform request to a running daemon"

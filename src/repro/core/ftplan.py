@@ -185,7 +185,6 @@ class FTPlan:
 
             self._batch_program = get_program(self.n)
             if self._protected:
-                from repro.fftlib.planner import get_default_planner
                 from repro.fftlib.protected import get_protected_program
 
                 self._fused_program = get_protected_program(
@@ -195,15 +194,6 @@ class FTPlan:
                 # to eta_offline / eta_memory, see ThresholdPolicy).
                 self._fused_eta = self.thresholds.offline_threshold_fn(self.n)
                 self._fused_eta_memory = self.thresholds.memory_threshold_fn(self.n)
-                # MEASURE-mode planners time fused-vs-scheme once per size
-                # and remember the winner in wisdom; ESTIMATE trusts the
-                # fused lowering (it wraps the fastest compiled program).
-                if not get_default_planner().fused_wins(
-                    self.n,
-                    lambda v: self._execute_fused(v),
-                    lambda v: self.scheme.execute(v),
-                ):
-                    self._fused_program = None
         # Recovery retry budget: explicit flags win; otherwise inherit the
         # built scheme's own effective default so execute() and
         # execute_many() agree on what "uncorrectable" means.

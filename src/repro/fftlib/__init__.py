@@ -17,19 +17,17 @@ structure:
 ``codelets``
     Hand-written butterflies for tiny sizes (1-8, 16), batched over leading
     axes, mirroring FFTW codelets.
-``mixed_radix``
-    A recursive decimation-in-time Cooley-Tukey engine for arbitrary sizes,
-    vectorised over a batch axis (kept as the reference/seed-style path).
 ``executor``
     The compiled execution path: sizes are lowered once into iterative
     stage programs (precomputed twiddle tables, base kernels, rank-``r``
     combines) executed over ping-pong work buffers - this is what plans and
-    the ``fftlib`` backend actually run.
+    the ``fftlib`` backend actually run.  Its batched module-level
+    ``rfft``/``irfft``/``fft_along_axis`` are re-exported here.
 ``bluestein``
     Chirp-z transform for large prime sizes.
 ``plan`` / ``planner``
     Plan objects with precomputed twiddle factors and a small planner that
-    picks a lowering per size (mirroring FFTW's estimate/measure modes).
+    resolves a lowering per size and caches the plans (FFTW's "wisdom").
 ``two_layer``
     The explicit highest-level ``N = m * k`` decomposition with stage-level
     entry points (per-sub-FFT execution, twiddle stage) used by the ABFT
@@ -37,8 +35,6 @@ structure:
 ``three_layer``
     The ``N = r * k^2`` decomposition used by in-place plans in the parallel
     scheme (Fig. 5 of the paper).
-``real``
-    Real-input forward/backward transforms built on the complex engine.
 """
 
 from repro.fftlib.backends import (
@@ -55,11 +51,6 @@ from repro.fftlib.backends import (
 from repro.fftlib.dft import direct_dft, direct_idft, dft_matrix
 from repro.fftlib.twiddle import TwiddleCache, twiddle_factors, omega
 from repro.fftlib.codelets import SUPPORTED_CODELET_SIZES, apply_codelet, has_codelet
-from repro.fftlib.mixed_radix import (
-    fft as mixed_radix_fft,
-    ifft as mixed_radix_ifft,
-    fft_along_axis,
-)
 from repro.fftlib.executor import (
     StageProgram,
     StockhamStageProgram,
@@ -69,14 +60,15 @@ from repro.fftlib.executor import (
     stockham_supported,
     program_cache_info,
     clear_program_cache,
+    fft_along_axis,
+    irfft,
+    rfft,
 )
 from repro.fftlib.bluestein import bluestein_fft
 from repro.fftlib.plan import Plan, PlanDirection
-from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft, get_default_planner
+from repro.fftlib.planner import Planner, plan_fft, get_default_planner
 from repro.fftlib.two_layer import TwoLayerDecomposition, TwoLayerPlan
 from repro.fftlib.three_layer import ThreeLayerPlan
-from repro.fftlib.inplace import InPlaceTwoLayerPlan
-from repro.fftlib.real import rfft, irfft
 
 __all__ = [
     "FFTBackend",
@@ -97,8 +89,6 @@ __all__ = [
     "SUPPORTED_CODELET_SIZES",
     "apply_codelet",
     "has_codelet",
-    "mixed_radix_fft",
-    "mixed_radix_ifft",
     "fft_along_axis",
     "StageProgram",
     "StockhamStageProgram",
@@ -112,13 +102,11 @@ __all__ = [
     "Plan",
     "PlanDirection",
     "Planner",
-    "PlannerPolicy",
     "plan_fft",
     "get_default_planner",
     "TwoLayerDecomposition",
     "TwoLayerPlan",
     "ThreeLayerPlan",
-    "InPlaceTwoLayerPlan",
     "rfft",
     "irfft",
 ]

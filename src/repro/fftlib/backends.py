@@ -1,10 +1,8 @@
 """The sub-FFT backend registry.
 
 Every plan in this library ultimately applies a raw (unprotected) FFT kernel
-to the last axis of an array.  Historically that kernel was hard-wired to the
-internal :mod:`repro.fftlib.mixed_radix` engine; this module abstracts it
-behind a tiny interface so that schemes, benchmarks, and the CLI can select
-the kernel uniformly:
+to the last axis of an array.  This module puts that kernel behind a tiny
+interface so that schemes, benchmarks, and the CLI can select it uniformly:
 
 * ``"fftlib"`` - the repository's own plan-based engine (codelets,
   mixed-radix, Bluestein).  This is the faithful FFTW stand-in whose stage

@@ -1,9 +1,8 @@
 """Compiled iterative stage programs: the engine's fast execution path.
 
-The recursive engine in :mod:`repro.fftlib.mixed_radix` re-derives the radix
-schedule, re-looks-up twiddle tables, and pays two contiguity copies per
-recursion level on *every* call.  This module moves all of that work to plan
-time, FFTW-style:
+A recursive Cooley-Tukey engine re-derives the radix schedule, re-looks-up
+twiddle tables, and pays two contiguity copies per recursion level on *every*
+call.  This module moves all of that work to plan time, FFTW-style:
 
 * :func:`compile_program` lowers a size ``n`` once into a
   :class:`StageProgram` - an explicit, immutable list of iterative
@@ -85,7 +84,7 @@ __all__ = [
 ]
 
 # Prime base sizes up to this threshold use a cached DFT-matrix product;
-# larger primes go through Bluestein (mirrors the recursive engine).
+# larger primes go through Bluestein.
 _DIRECT_PRIME_THRESHOLD = 61
 
 # Radix preference: large radices first so programs stay short (the BLAS
@@ -114,9 +113,9 @@ def lower(n: int) -> Tuple[int, Tuple[int, ...]]:
     """Split ``n`` into ``(base, radices)`` with ``base * prod(radices) == n``.
 
     ``base`` is the bottom-level transform length (a codelet size or a
-    prime); ``radices`` lists the combine radices in the order the recursive
-    engine would peel them (outermost first).  This is the schedule the
-    planner lowers into a :class:`StageProgram`.
+    prime); ``radices`` lists the combine radices outermost first (large
+    radices before small ones).  This is the schedule the planner lowers
+    into a :class:`StageProgram`.
     """
 
     radices = []
@@ -566,8 +565,7 @@ class RealStageProgram:
     coefficients (``Z[k] = conj(A_k) X[k] + conj(B_k) conj(X[h-k])``) followed
     by the half-length inverse, so both directions run at half the complex
     flop/byte cost.  Odd lengths have no packing trick; they run the
-    full-length complex program and keep the ``n//2 + 1`` non-redundant bins
-    (still compiled - the seed's fallback re-entered the recursive engine).
+    full-length complex program and keep the ``n//2 + 1`` non-redundant bins.
 
     Like :class:`StageProgram`, instances are immutable after construction,
     batched over arbitrary leading axes, and memoized in the same LRU
@@ -663,21 +661,6 @@ class RealStageProgram:
 
         return self.program.execute(z)
 
-    def transform_half_inplace(self, z: np.ndarray) -> np.ndarray:
-        """The half-length transform *overwriting* the packed sequence.
-
-        ``z`` is typically the zero-copy packed view of the caller's float
-        buffer (:meth:`pack`), so this destroys the real input in exchange
-        for running without ping-pong buffers.  Only available when the
-        half size has a Stockham lowering (:attr:`supports_overwrite`).
-        """
-
-        if self.stockham is None:
-            raise ValueError(
-                f"real program of size {self.n} has no in-place half-length lowering"
-            )
-        return self.stockham.execute_inplace(z)
-
     @property
     def supports_overwrite(self) -> bool:
         """Whether :meth:`execute_overwrite` can actually run in place."""
@@ -764,51 +747,6 @@ class RealStageProgram:
         if time_half.strides[-1] != time_half.itemsize:
             time_half = np.ascontiguousarray(time_half)  # reprolint: alloc-ok - strided fallback
         return time_half.view(np.float64)
-
-    def execute_inverse_overwrite(self, spectrum: np.ndarray) -> np.ndarray:
-        """Real inverse transform that may destroy its spectrum buffer.
-
-        The mirror of :meth:`execute_overwrite` for the inverse direction:
-        when the half-length Stockham lowering exists and ``spectrum`` is a
-        1-D contiguous writeable complex128 buffer of ``n//2 + 1`` bins,
-        the conjugate entangle pass writes back into the buffer's first
-        ``n/2`` slots (the reflected operand is staged through the shared
-        half-size Stockham scratch because its reversed read range overlaps
-        the write range), the half-length inverse runs in place on those
-        slots, and the returned ``n`` real samples are a zero-copy float64
-        view aliasing the caller's buffer - no full-size allocation at all.
-        The buffer's spectrum is gone afterwards.  Anything else (batched,
-        strided, read-only, or Stockham-unsupported spectra) silently
-        degrades to the ordinary out-of-place :meth:`execute_inverse`.
-        """
-
-        if (
-            self.stockham is not None
-            and isinstance(spectrum, np.ndarray)
-            and spectrum.dtype == np.complex128
-            and spectrum.ndim == 1
-            and spectrum.shape[-1] == self.bins
-            and spectrum.flags.c_contiguous
-            and spectrum.flags.writeable
-        ):
-            h = self.half
-            z = spectrum[:h]
-            scratch = _stockham_scratch(h)[:h]
-            # The reflected term conj(B_k) conj(X[h-k]) first: X[h], ..,
-            # X[1] overlaps the z[0..h) write range, so it is consumed into
-            # the scratch before any bin is overwritten.
-            np.conjugate(spectrum[h:0:-1], out=scratch)
-            scratch *= self._ib[:h]
-            # z[k] = conj(A_k) X[k] + staged reflected term, in the buffer.
-            z *= self._ia[:h]
-            z += scratch
-            # Half-length inverse in place (the entangle scratch is dead by
-            # now; the Stockham program reuses its first half internally).
-            self.stockham.execute_inverse_inplace(z)
-            # The complex128 half-signal IS the interleaved (even, odd)
-            # float64 samples: the result aliases the caller's buffer.
-            return z.view(np.float64)
-        return self.execute_inverse(spectrum)
 
     # ------------------------------------------------------------------
     def profile(self, x: np.ndarray):
@@ -1241,7 +1179,8 @@ def clear_program_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# module-level transforms (the compiled counterparts of mixed_radix.*)
+# module-level transforms (what ``repro.fftlib`` exports as rfft, irfft and
+# fft_along_axis)
 # ----------------------------------------------------------------------
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -1259,7 +1198,7 @@ def ifft(x: np.ndarray) -> np.ndarray:
     """Inverse DFT along the last axis (normalised by ``1/n``).
 
     Uses the conjugation identity ``ifft(x) = conj(fft(conj(x))) / n`` so the
-    forward program serves both directions (matching the recursive engine).
+    forward program serves both directions.
     """
 
     x = np.asarray(x, dtype=np.complex128)

@@ -123,8 +123,8 @@ class Plan:
     inplace: bool = False
     native: bool = True
     #: ``"kind-fallback(reason)"`` notes for capability requests the planner
-    #: could not honour (inplace/native collapsed by measurement or
-    #: unsupported sizes); surfaced verbatim by :meth:`describe` and mirrored
+    #: could not honour (real plans, foreign backends, or sizes with no
+    #: Stockham lowering); surfaced verbatim by :meth:`describe` and mirrored
     #: as ``fallback`` telemetry events at plan-creation time.
     fallbacks: tuple = field(default=(), compare=False, repr=False)
     #: compiled stage program (``fftlib`` backend only); built at plan time
@@ -283,40 +283,6 @@ class Plan:
         return Plan(
             self.n, direction, self.flops, self.backend, self.real,
             self.inplace, self.native, self.fallbacks,
-        )
-
-    def profile(self, x: np.ndarray) -> object:
-        """Time one execution phase by phase (a :class:`ProfileResult`).
-
-        Lowered ``fftlib`` plans delegate to their compiled program's
-        ``profile`` (per-stage timings); any other lowering reports a
-        single end-to-end entry.  One real execution runs either way and
-        its output is available as ``result.output``.
-        """
-
-        import time as _time
-
-        from repro.telemetry import ProfileEntry, ProfileResult
-
-        program = self.program
-        if program is not None and hasattr(program, "profile") and self.is_forward:
-            inner = program.profile(x)
-            return ProfileResult(
-                n=self.n,
-                description=self.describe(),
-                entries=inner.entries,
-                total_seconds=inner.total_seconds,
-                output=inner.output,
-            )
-        start = _time.perf_counter()
-        output = self.execute(x)
-        elapsed = _time.perf_counter() - start
-        return ProfileResult(
-            n=self.n,
-            description=self.describe(),
-            entries=(ProfileEntry("execute (end to end)", elapsed),),
-            total_seconds=elapsed,
-            output=output,
         )
 
     def describe(self) -> str:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from repro.fftlib.plan import Plan, PlanDirection
-from repro.fftlib.planner import Planner, get_default_planner
+from repro.fftlib.planner import plan_fft
 from repro.utils.validation import as_complex_vector, ensure_positive_int
 
 __all__ = ["ThreeLayerPlan"]
@@ -48,7 +48,6 @@ class ThreeLayerPlan:
         r: Optional[int] = None,
         k: Optional[int] = None,
         direction: PlanDirection = PlanDirection.FORWARD,
-        planner: Optional[Planner] = None,
     ) -> None:
         n = ensure_positive_int(n, name="n")
         if k is None:
@@ -65,9 +64,8 @@ class ThreeLayerPlan:
         self.r = r
         self.k = k
         self.direction = direction
-        planner = planner or get_default_planner()
-        self.k_plan: Plan = planner.plan(k, direction)
-        self.r_plan: Plan = planner.plan(r, direction)
+        self.k_plan: Plan = plan_fft(k, direction)
+        self.r_plan: Plan = plan_fft(r, direction)
         sign = 1.0 if direction is PlanDirection.BACKWARD else -1.0
         m_inner = r * k  # size of the "middle" problem
         # Twiddle for the inner (size r*k) decomposition: applied after layer

@@ -29,7 +29,7 @@ import numpy as np
 from repro.fftlib.backends import resolve_backend_name
 from repro.fftlib.factorization import balanced_split
 from repro.fftlib.plan import Plan, PlanDirection
-from repro.fftlib.planner import Planner, get_default_planner
+from repro.fftlib.planner import plan_fft
 from repro.fftlib.twiddle import get_global_cache
 from repro.utils.validation import as_complex_vector, ensure_positive_int
 
@@ -104,8 +104,6 @@ class TwoLayerPlan:
         Forward or backward.  The backward plan composes the backward inner
         and outer plans with conjugated twiddles, which yields the fully
         normalised inverse (``1/m * 1/k = 1/n``).
-    planner:
-        Planner used to create the inner/outer sub-plans.
     backend:
         Sub-FFT kernel registry name (see :mod:`repro.fftlib.backends`);
         ``None`` uses the process-wide default.
@@ -118,15 +116,13 @@ class TwoLayerPlan:
         k: Optional[int] = None,
         *,
         direction: PlanDirection = PlanDirection.FORWARD,
-        planner: Optional[Planner] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.decomposition = TwoLayerDecomposition.for_size(n, m, k)
         self.direction = direction
         self.backend = resolve_backend_name(backend)
-        planner = planner or get_default_planner()
-        self.inner_plan: Plan = planner.plan(self.m, direction, self.backend)
-        self.outer_plan: Plan = planner.plan(self.k, direction, self.backend)
+        self.inner_plan: Plan = plan_fft(self.m, direction, self.backend)
+        self.outer_plan: Plan = plan_fft(self.k, direction, self.backend)
         self._twiddles = get_global_cache().stage(
             self.m, self.k, inverse=(direction is PlanDirection.BACKWARD)
         )

@@ -6,11 +6,10 @@ package gives those outcomes one home with three pillars:
 
 **Metrics registry** (:func:`registry`, :func:`snapshot`,
 :func:`render_prometheus`): named monotone counters (per-site/per-scheme
-ABFT activity, native fallbacks by reason, capability fallbacks, wisdom
-MEASURE race outcomes) merged with every existing ``cache_info()``
-surface, exportable as a plain dict, JSON, or Prometheus text.  Counters
-are per-thread sharded and merged on read, so concurrent workers never
-contend.
+ABFT activity, native fallbacks by reason, capability fallbacks) merged
+with every existing ``cache_info()`` surface, exportable as a plain dict,
+JSON, or Prometheus text.  Counters are per-thread sharded and merged on
+read, so concurrent threads never contend.
 
 **Event trace** (:func:`enable_trace`, :func:`events`): a bounded ring of
 typed event records (plan/program/native compiles, threshold violations,
@@ -18,7 +17,7 @@ repairs, fallbacks) with an opt-in JSONL sink - ``REPRO_TRACE=path`` or
 ``enable_trace(path)``.  Disabled (the default), every emit site costs one
 attribute check and nothing else.
 
-**Timing profiles** (``plan.profile(x)``, ``repro profile``): one timed
+**Timing profiles** (``FTPlan.profile(x)``, ``repro profile``): one timed
 execution broken into base kernel, combine stages, checksum encode, and tap
 verification phases.
 

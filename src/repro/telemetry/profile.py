@@ -1,4 +1,4 @@
-"""Stage-level timing profiles: the data types behind ``plan.profile(x)``.
+"""Stage-level timing profiles: the data types behind ``FTPlan.profile(x)``.
 
 A profile is one *timed* execution broken into labelled phases: the base
 kernel, each lowered combine stage, the checksum encode pass, and the tap

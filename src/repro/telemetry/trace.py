@@ -2,8 +2,8 @@
 
 Every instrumented subsystem emits typed event records here - plan compiles,
 program compiles, native compiles/disk hits/failures, threshold violations,
-repairs, capability fallbacks, wisdom MEASURE races - so "what happened
-during this run" has one answer instead of a debugger session.
+repairs, capability fallbacks - so "what happened during this run" has one
+answer instead of a debugger session.
 
 Hot-path contract
 -----------------

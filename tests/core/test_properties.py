@@ -24,7 +24,7 @@ from repro.core.checksums import (
 from repro.core.optimized import OptimizedOnlineABFT
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
-from repro.fftlib.mixed_radix import fft
+from repro.fftlib.executor import fft
 
 SIZES = st.sampled_from([8, 16, 20, 32, 50, 64, 100, 128])
 

@@ -1,11 +1,16 @@
-"""Tests for the mixed-radix engine, Bluestein fallback, real transforms."""
+"""Tests for the engine behind the public transform names.
+
+The compiled executor is the library's one FFT engine: its mixed-radix
+stage programs, the Bluestein fallback for large primes, the batched real
+transforms and the along-axis variants that ``repro.fftlib`` re-exports.
+"""
 
 import numpy as np
 import pytest
 
+from repro.fftlib import fft_along_axis, irfft, rfft
 from repro.fftlib.bluestein import bluestein_fft, next_fast_power_of_two
-from repro.fftlib.mixed_radix import fft, fft_along_axis, ifft, ifft_along_axis
-from repro.fftlib.real import irfft, rfft
+from repro.fftlib.executor import fft, ifft, ifft_along_axis
 
 
 class TestMixedRadixForward:
@@ -104,9 +109,10 @@ class TestRealTransforms:
     def test_single_sample(self):
         assert np.allclose(rfft(np.array([3.0])), [3.0])
 
-    def test_rfft_rejects_2d(self, rng):
-        with pytest.raises(ValueError):
-            rfft(rng.standard_normal((4, 4)))
+    def test_rfft_batches_leading_axes(self, rng, spectra_close):
+        x = rng.standard_normal((3, 4, 20))
+        spectra_close(rfft(x), np.fft.rfft(x, axis=-1), rtol_scale=1e-8)
+        assert np.allclose(irfft(rfft(x), 20), x, atol=1e-9)
 
     def test_irfft_rejects_wrong_bins(self):
         with pytest.raises(ValueError):

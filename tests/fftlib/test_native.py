@@ -36,7 +36,7 @@ from repro.fftlib.native import (
     native_unavailable_reason,
 )
 from repro.fftlib.native.generator import LANES
-from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft
+from repro.fftlib.planner import Planner, plan_fft
 
 HAVE_NATIVE = native_supported()
 
@@ -367,6 +367,9 @@ class TestGracefulFallback:
 
     def test_planner_keeps_request_and_reports_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        # The program LRU is process-wide: a 512-point program whose native
+        # lowering an earlier test already resolved would report "native".
+        executor.clear_program_cache()
         plan = Planner().plan(512, native=True)
         assert plan.native
         assert "native-fallback" in plan.describe()
@@ -385,31 +388,6 @@ class TestGracefulFallback:
 
 
 class TestPlannerSurface:
-    @needs_native
-    def test_measure_race_times_numpy_bodies_against_native(self, monkeypatch):
-        fetched = []
-        original = executor.get_program
-
-        def recording(n, *, native=True):
-            program = original(n, native=native)
-            fetched.append(program)
-            return program
-
-        monkeypatch.setattr(executor, "get_program", recording)
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-        planner.plan(4096)
-        pure, native = fetched[:2]
-        assert pure is not native
-        assert pure.native is None and pure.native_fallback_reason is None
-        assert native.native is not None
-        assert set(planner.native_measurements["4096"]) == {"numpy", "native"}
-
-    def test_measure_skips_the_race_below_the_crossover(self):
-        # A single call this small runs the NumPy bodies on either program.
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-        plan = planner.plan(64)
-        assert plan.native and planner.native_measurements == {}
-
     def test_wisdom_key_distinguishes_native(self):
         planner = Planner()
         a = planner.plan(256)

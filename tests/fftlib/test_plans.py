@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.fftlib.executor import get_program
-from repro.fftlib.inplace import InPlaceTwoLayerPlan
 from repro.fftlib.plan import Plan, PlanDirection, estimate_flops
-from repro.fftlib.planner import Planner, PlannerPolicy, get_default_planner, plan_fft
+from repro.fftlib.planner import Planner, get_default_planner, plan_fft
 from repro.fftlib.three_layer import ThreeLayerPlan
 from repro.fftlib.two_layer import TwoLayerDecomposition, TwoLayerPlan
 
@@ -60,22 +59,6 @@ class TestPlanner:
         planner = Planner()
         assert planner.plan(32) is planner.plan(32)
 
-    def test_measure_policy_times_only_capability_requests(self, random_complex):
-        # A pure-NumPy request has a single lowering, and a default request
-        # below the native crossover runs the NumPy bodies either way, so
-        # MEASURE has nothing to race; past the crossover the default
-        # (native) request races its two stage bodies.
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-        plan = planner.plan(64, native=False)
-        planner.plan(64)
-        assert planner.inplace_measurements == {} and planner.native_measurements == {}
-        assert [key for key in planner.export_wisdom() if key.startswith("__")] == []
-        x = random_complex(64)
-        assert np.allclose(plan.execute(x), np.fft.fft(x), atol=1e-9)
-        if get_program(4096).native is not None:
-            planner.plan(4096)
-            assert set(planner.native_measurements) == {"4096"}
-
     def test_forget_clears_wisdom(self):
         planner = Planner()
         planner.plan(16)
@@ -96,6 +79,35 @@ class TestPlanner:
     def test_default_planner_shared(self):
         assert get_default_planner() is get_default_planner()
         assert plan_fft(16) is plan_fft(16)
+
+
+class TestWisdomImportValidation:
+    """A malformed snapshot raises ValueError naming the key, importing nothing."""
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("16", "needs at least 'n:direction'"),
+            ("", "needs at least 'n:direction'"),
+            ("abc:forward", "size 'abc' is not a positive integer"),
+            ("0:forward", "size '0' is not a positive integer"),
+            ("-8:forward", "size '-8' is not a positive integer"),
+            ("16.5:forward", "size '16.5' is not a positive integer"),
+            ("16:sideways", "unknown direction 'sideways'"),
+            ("16:forward:bogus", "unknown FFT backend 'bogus'"),
+        ],
+    )
+    def test_bad_key_raises_value_error_naming_it(self, key, message):
+        planner = Planner()
+        with pytest.raises(ValueError, match=message) as exc:
+            planner.import_wisdom({"32:forward:fftlib": "x", key: "x"})
+        assert repr(key) in str(exc.value)
+        assert planner.wisdom == {}
+
+    @pytest.mark.parametrize("data", [[], "16:forward", None, 3])
+    def test_snapshot_must_be_a_dict(self, data):
+        with pytest.raises(ValueError, match="JSON object"):
+            Planner().import_wisdom(data)
 
 
 class TestPlanFFT:
@@ -290,58 +302,21 @@ class TestThreeLayerPlan:
 
 
 class TestInPlacePlan:
+    """In-place plans: ``plan_fft(n, inplace=True).execute_inplace``."""
+
     @pytest.mark.parametrize("n", [16, 64, 100, 1024])
     def test_execute_overwrites_buffer(self, n, random_complex, spectra_close):
         x = random_complex(n)
         buffer = x.copy()
-        result = InPlaceTwoLayerPlan(n).execute(buffer)
+        result = plan_fft(n, inplace=True).execute_inplace(buffer)
         assert result is buffer
         spectra_close(buffer, np.fft.fft(x))
 
-    def test_no_reorder_leaves_transposed_layout(self, random_complex):
-        n = 64
-        plan = InPlaceTwoLayerPlan(n)
-        x = random_complex(n)
-        buffer = x.copy()
-        plan.execute(buffer, reorder=False)
-        expected = np.fft.fft(x)
-        transposed = buffer.reshape(plan.m, plan.k)
-        assert np.allclose(np.ascontiguousarray(transposed.T).reshape(n), expected, atol=1e-9)
-
-    def test_stagewise_inplace(self, random_complex, spectra_close):
-        n = 144
-        plan = InPlaceTwoLayerPlan(n)
-        x = random_complex(n)
-        buffer = x.copy()
-        plan.stage1_inplace(buffer)
-        plan.twiddle_inplace(buffer)
-        plan.stage2_inplace(buffer)
-        plan.reorder_inplace(buffer)
-        spectra_close(buffer, np.fft.fft(x))
-
-    def test_single_column_recompute(self, random_complex):
-        n = 64
-        plan = InPlaceTwoLayerPlan(n)
-        x = random_complex(n)
-        buffer = x.copy()
-        reference = x.copy()
-        plan.stage1_inplace(reference)
-        plan.stage1_inplace(buffer)
-        # corrupt one column and recompute it from scratch data
-        buffer.reshape(plan.m, plan.k)[:, 3] = 0
-        buffer.reshape(plan.m, plan.k)[:, 3] = x.reshape(plan.m, plan.k)[:, 3]
-        plan.stage1_single_inplace(buffer, 3)
-        assert np.allclose(buffer, reference, atol=1e-12)
-
     def test_requires_contiguous_complex_buffer(self):
-        plan = InPlaceTwoLayerPlan(16)
+        plan = plan_fft(16, inplace=True)
         with pytest.raises(ValueError):
-            plan.execute(np.zeros(16, dtype=np.float64))
+            plan.execute_inplace(np.zeros(16, dtype=np.float64))
         with pytest.raises(ValueError):
-            plan.execute(np.zeros(15, dtype=np.complex128))
-
-    def test_exposes_out_of_place_plan(self):
-        plan = InPlaceTwoLayerPlan(36)
-        assert plan.out_of_place.n == 36
-        assert plan.m * plan.k == 36
-        assert plan.twiddles.shape == (plan.m, plan.k)
+            plan.execute_inplace(np.zeros(15, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            plan.execute_inplace(np.zeros(32, dtype=np.complex128)[::2])

@@ -1,16 +1,19 @@
 """Property-based tests for the FFT substrate (hypothesis).
 
-These exercise algebraic invariants of the transform engine on randomly
-drawn sizes and data: linearity, Parseval's theorem, the shift theorem,
-round-trip identity, and agreement between the independent implementations
-(mixed-radix vs. direct DFT vs. two-layer decomposition).
+These exercise algebraic invariants of the compiled executor - the engine
+plans and the ``fftlib`` backend run - on randomly drawn sizes and data:
+linearity, Parseval's theorem, the shift theorem, round-trip identity, and
+agreement between the independent implementations (executor vs. direct DFT
+vs. two-layer decomposition).  ``LARGE_SIZES`` reach past the executor's
+native crossover (2048 elements), where single calls run the generated-C
+stage bodies when the tier is available.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.fftlib.dft import direct_dft
-from repro.fftlib.mixed_radix import fft, ifft
+from repro.fftlib.executor import fft, ifft
 from repro.fftlib.two_layer import TwoLayerPlan
 from repro.fftlib.factorization import balanced_split
 
@@ -19,6 +22,8 @@ SIZES = st.integers(min_value=1, max_value=96)
 COMPOSITE_SIZES = st.sampled_from(
     [4, 6, 8, 9, 12, 16, 20, 24, 30, 32, 36, 48, 60, 64, 72, 90, 96, 128]
 )
+# Powers of two and composites at and past the native crossover.
+LARGE_SIZES = st.sampled_from([2048, 3072, 4096, 6144, 20480])
 
 
 def complex_vector(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -71,9 +76,9 @@ def test_circular_shift_theorem(n, seed, shift):
 
 @settings(max_examples=30, deadline=None)
 @given(n=COMPOSITE_SIZES, seed=st.integers(0, 2**31 - 1))
-def test_two_layer_agrees_with_mixed_radix(n, seed):
+def test_two_layer_agrees_with_direct_dft(n, seed):
     x = complex_vector(n, seed)
-    assert np.allclose(TwoLayerPlan(n).execute(x), fft(x), atol=1e-8 * n)
+    assert np.allclose(TwoLayerPlan(n).execute(x), direct_dft(x), atol=1e-8 * n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -109,3 +114,38 @@ def test_conjugate_symmetry_for_real_input(n, seed):
 def test_scaling_homogeneity(n, seed, scale):
     x = complex_vector(n, seed)
     assert np.allclose(fft(scale * x), scale * fft(x), rtol=1e-9, atol=1e-9 * scale * n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=LARGE_SIZES, seed=st.integers(0, 2**31 - 1))
+def test_large_sizes_match_numpy_and_round_trip(n, seed):
+    x = complex_vector(n, seed)
+    spectrum = fft(x)
+    assert np.allclose(spectrum, np.fft.fft(x), atol=1e-9 * n)
+    assert np.allclose(ifft(spectrum), x, atol=1e-12 * n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=LARGE_SIZES, seed=st.integers(0, 2**31 - 1), a=st.floats(-3, 3), b=st.floats(-3, 3))
+def test_large_sizes_linearity(n, seed, a, b):
+    x = complex_vector(n, seed)
+    y = complex_vector(n, seed + 1)
+    assert np.allclose(fft(a * x + b * y), a * fft(x) + b * fft(y), atol=1e-9 * n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=LARGE_SIZES, seed=st.integers(0, 2**31 - 1))
+def test_large_sizes_parseval(n, seed):
+    x = complex_vector(n, seed)
+    time_energy = np.sum(np.abs(x) ** 2)
+    freq_energy = np.sum(np.abs(fft(x)) ** 2) / n
+    assert np.isclose(time_energy, freq_energy, rtol=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=LARGE_SIZES, seed=st.integers(0, 2**31 - 1), shift=st.integers(0, 2**20))
+def test_large_sizes_circular_shift_theorem(n, seed, shift):
+    x = complex_vector(n, seed)
+    shift = shift % n
+    phase = np.exp(-2j * np.pi * shift * np.arange(n) / n)
+    assert np.allclose(fft(np.roll(x, shift)), fft(x) * phase, atol=1e-9 * n)

@@ -7,10 +7,15 @@ import pytest
 
 from repro.fftlib import executor
 from repro.fftlib.backends import FFTBackend, get_backend
-from repro.fftlib.executor import get_program, get_real_program, rfft as exec_rfft
+from repro.fftlib.executor import (
+    StockhamStageProgram,
+    get_program,
+    get_real_program,
+    irfft,
+    rfft,
+)
 from repro.fftlib.plan import PlanDirection
-from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft
-from repro.fftlib.real import irfft, rfft
+from repro.fftlib.planner import Planner, plan_fft
 
 EVEN_SIZES = [2, 4, 16, 48, 250, 1024]
 ODD_SIZES = [3, 9, 15, 27, 81, 255]
@@ -19,7 +24,8 @@ PRIME_SIZES = [17, 31, 97, 211]
 #: A wisdom snapshot in the format ``export_wisdom`` wrote before the thread
 #: layer and the strategy race were removed: strategy names as per-key
 #: values, a ``:t2`` thread-count key part, and the ``__measurements__`` /
-#: ``__thread_measurements__`` / ``__programs__`` reserved entries.
+#: ``__thread_measurements__`` / ``__programs__`` reserved entries, plus the
+#: in-place race's ``__inplace_measurements__`` (recording a Stockham loss).
 PRE_REMOVAL_SNAPSHOT = {
     "64:forward:fftlib": "mixed-radix",
     "8192:forward:fftlib:t2": "mixed-radix",
@@ -108,7 +114,7 @@ class TestRealStageProgram:
 
     def test_module_level_batched_rfft(self, rng):
         X = rng.standard_normal((4, 30))
-        assert np.allclose(exec_rfft(X), np.fft.rfft(X, axis=-1), atol=1e-10)
+        assert np.allclose(rfft(X), np.fft.rfft(X, axis=-1), atol=1e-10)
 
 
 class TestRealPlans:
@@ -165,11 +171,10 @@ class TestBackendRealTransforms:
 
 class TestWisdomPersistence:
     def test_export_describes_each_key(self):
-        planner = Planner(policy=PlannerPolicy.MEASURE)
+        planner = Planner()
         planner.plan(64)
         planner.plan(48, real=True)
         data = planner.export_wisdom()
-        # MEASURE may keep either lowering of 64 (native vs NumPy bodies)
         assert data["64:forward:fftlib"] == planner.plan(64).program.describe()
         assert "RealStageProgram" in data["48:forward:fftlib:real"]
         assert not any(key in data for key in ("__measurements__", "__programs__"))
@@ -177,10 +182,10 @@ class TestWisdomPersistence:
         json.dumps(data)
 
     def test_import_round_trip_restores_real_plans(self):
-        planner = Planner(policy=PlannerPolicy.MEASURE)
+        planner = Planner()
         planner.plan(64)
         planner.plan(48, real=True)
-        other = Planner(policy=PlannerPolicy.MEASURE)
+        other = Planner()
         other.import_wisdom(planner.export_wisdom())
         key = (48, PlanDirection.FORWARD, "fftlib", True, False, True)
         assert key in other.wisdom
@@ -198,7 +203,7 @@ class TestWisdomPersistence:
         assert planner.plan(32, PlanDirection.BACKWARD, "numpy") is planner.wisdom[key]
 
     def test_snapshot_from_before_thread_removal_imports_serial_plans(self):
-        planner = Planner(policy=PlannerPolicy.MEASURE)
+        planner = Planner()
         planner.import_wisdom(json.loads(json.dumps(PRE_REMOVAL_SNAPSHOT)))
         # the :t2 key lands on the serial key and lowers to the serial program
         serial = planner.plan(8192)
@@ -207,14 +212,12 @@ class TestWisdomPersistence:
         assert not hasattr(serial, "threads")
         x = np.random.default_rng(8).standard_normal(8192) + 0j
         assert np.allclose(serial.execute(x), np.fft.fft(x))
-        # timings this planner still races are honoured; the others are dropped
-        assert not planner.plan(1024, inplace=True).inplace
+        # the recorded timings are ignored: the in-place key lowers to Stockham
+        inplace = planner.plan(1024, inplace=True)
+        assert inplace.inplace
+        assert isinstance(inplace.program, StockhamStageProgram)
         exported = planner.export_wisdom()
-        assert "__inplace_measurements__" in exported
-        assert not any(
-            key in exported
-            for key in ("__measurements__", "__thread_measurements__", "__programs__")
-        )
+        assert not any(key.startswith("__") for key in exported)
         assert not any(":t" in key for key in exported)
 
     @pytest.mark.parametrize("key", list(PRE_REMOVAL_KEYS))
@@ -234,63 +237,26 @@ class TestWisdomPersistence:
             want = np.fft.fft(x)
         assert np.allclose(plan.execute(x), want)
 
-    def test_import_never_times_transforms(self):
-        # Deserializing wisdom must not run live benchmarks, even in a
-        # MEASURE planner and for keys whose lowering it would race.
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("import_wisdom must not time transforms")
-
-        planner._stockham_wins = forbidden
-        planner._native_wins = forbidden
-        planner.import_wisdom(
-            {"1024:forward:fftlib:ip": "stockham", "2048:forward:fftlib:nat": "native"}
-        )
-        assert (1024, PlanDirection.FORWARD, "fftlib", False, True, True) in planner.wisdom
+    def test_measurement_entries_import_as_no_ops(self):
+        # Earlier planners raced lowerings and stored the timings under
+        # reserved keys; these all favour the other lowering, and none of
+        # them changes what a key lowers to.
+        snapshot = {
+            "1024:forward:fftlib:ip": "stockham",
+            "4096:forward:fftlib": "native",
+            "2048:forward:fftlib:nat": "native",
+            "__inplace_measurements__": {"1024": {"pingpong": 1e-06, "stockham": 1.0}},
+            "__fused_measurements__": {"4096": {"fused": 1.0, "scheme": 1e-06}},
+            "__native_measurements__": {"4096": {"native": 1.0, "numpy": 1e-06}},
+        }
+        planner = Planner()
+        planner.import_wisdom(json.loads(json.dumps(snapshot)))
+        inplace = planner.wisdom[(1024, PlanDirection.FORWARD, "fftlib", False, True, True)]
+        assert isinstance(inplace.program, StockhamStageProgram)
+        default = planner.wisdom[(4096, PlanDirection.FORWARD, "fftlib", False, False, True)]
+        assert default.native and default.program is get_program(4096)
         assert (2048, PlanDirection.FORWARD, "fftlib", False, False, True) in planner.wisdom
-        assert planner.inplace_measurements == {}
-        assert planner.native_measurements == {}
-
-
-class TestFusedInverseOverwrite:
-    @pytest.mark.parametrize("n", [16, 64, 360, 1000, 4096])
-    def test_overwrite_inverse_matches_out_of_place(self, n):
-        rng = np.random.default_rng(5 + n)
-        x = rng.standard_normal(n)
-        program = get_real_program(n)
-        spectrum = program.execute(x)
-        expected = program.execute_inverse(spectrum)
-        buf = np.array(spectrum)
-        out = program.execute_inverse_overwrite(buf)
-        assert np.allclose(out, expected, atol=1e-12 * np.max(np.abs(x) + 1))
-        # the fused path returns a float64 view aliasing the caller's buffer
-        assert out.dtype == np.float64
-        assert np.shares_memory(out, buf)
-
-    def test_overwrite_inverse_destroys_the_spectrum(self):
-        program = get_real_program(64)
-        x = np.random.default_rng(0).standard_normal(64)
-        buf = program.execute(x)
-        snapshot = buf.copy()
-        program.execute_inverse_overwrite(buf)
-        assert not np.allclose(buf, snapshot)
-
-    def test_degraded_paths_still_correct(self):
-        rng = np.random.default_rng(21)
-        # odd length: no packing trick, ordinary out-of-place inverse
-        x = rng.standard_normal(15)
-        program = get_real_program(15)
-        out = program.execute_inverse_overwrite(program.execute(x))
-        assert np.allclose(out, x, atol=1e-12)
-        # batched spectra: the 1-D fused fast path silently degrades
-        X = rng.standard_normal((3, 64))
-        program = get_real_program(64)
-        S = np.stack([program.execute(row) for row in X])
-        out = program.execute_inverse_overwrite(S)
-        assert np.allclose(out, X, atol=1e-12)
-        assert not np.shares_memory(out, S)
-        # read-only spectra never get overwritten
-        s = program.execute(X[0])
-        s.flags.writeable = False
-        assert np.allclose(program.execute_inverse_overwrite(s), X[0], atol=1e-12)
+        assert not any(key.startswith("__") for key in planner.export_wisdom())
+        for plan in planner.wisdom.values():
+            x = np.random.default_rng(plan.n).standard_normal(plan.n) + 0j
+            assert np.allclose(plan.execute(x), np.fft.fft(x))

@@ -23,7 +23,7 @@ from repro.fftlib.executor import (
     stockham_supported,
 )
 from repro.fftlib.plan import PlanDirection
-from repro.fftlib.planner import Planner, PlannerPolicy, plan_fft
+from repro.fftlib.planner import Planner, plan_fft
 
 SUPPORTED_SIZES = [2, 4, 6, 8, 12, 16, 30, 48, 64, 96, 100, 120, 360, 1000, 1024, 4096]
 UNSUPPORTED_SIZES = [1, 3, 7, 9, 15, 21, 97, 134]  # odd, primes, Bluestein half
@@ -228,13 +228,6 @@ class TestPlanLayerLowering:
         assert a is not b
         assert a is planner.plan(256, inplace=True)
 
-    def test_measure_mode_records_inplace_timings(self):
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-        planner.plan(4096, inplace=True)
-        assert "4096" in planner.inplace_measurements
-        timings = planner.inplace_measurements["4096"]
-        assert set(timings) == {"pingpong", "stockham"}
-
     def test_wisdom_export_import_round_trip(self):
         planner = Planner()
         planner.plan(512, inplace=True)
@@ -246,19 +239,15 @@ class TestPlanLayerLowering:
         assert key in fresh.wisdom
         assert fresh.wisdom[key].inplace
 
-    def test_import_honours_recorded_inplace_loser(self):
-        planner = Planner(policy=PlannerPolicy.MEASURE)
-        planner.import_wisdom(
-            {
-                "512:forward:fftlib:ip": "mixed-radix",
-                "__inplace_measurements__": {
-                    "512": {"pingpong": 0.001, "stockham": 0.005}
-                },
-            }
-        )
-        key = (512, PlanDirection.FORWARD, "fftlib", False, True, True)
-        # recorded winner: ping-pong - the plan keeps the ping-pong program
-        assert not planner.wisdom[key].inplace
+    def test_imported_inplace_key_lands_where_plan_looks(self):
+        # Real plans and foreign backends have no in-place form: plan()
+        # files such requests under the plain key, and so must an import.
+        planner = Planner()
+        planner.import_wisdom({"1024:forward:numpy:ip": "x", "48:forward:fftlib:real:ip": "x"})
+        assert len(planner.wisdom) == 2
+        for n, backend, real in ((1024, "numpy", False), (48, "fftlib", True)):
+            assert not planner.plan(n, backend=backend, real=real, inplace=True).inplace
+        assert len(planner.wisdom) == 2  # both requests were hits
 
 
 class TestRealOverwrite:

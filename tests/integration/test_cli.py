@@ -240,3 +240,55 @@ class TestSubmit:
             main(["submit", "-n", "64", "--scheme", "opt-online+mem+t2"])
         assert exc.value.code == 2
         assert "unknown scheme 'opt-online+mem+t2'" in capsys.readouterr().err
+
+
+class TestServeArguments:
+    """``repro serve`` refuses bad ``--warm``/``--wisdom`` input with a usage
+    error (exit 2) before it binds a listener."""
+
+    def test_warm_specs_parse_to_size_and_scheme(self):
+        args = build_parser().parse_args(
+            ["serve", "--warm", "1024", "--warm", "4096:opt-offline+mem+numpy"]
+        )
+        assert args.warm == [(1024, "opt-online+mem"), (4096, "opt-offline+mem+numpy")]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("abc", "'abc' does not start with a positive size"),
+            ("0", "'0' does not start with a positive size"),
+            ("4096:bogus", "unknown scheme 'bogus'"),
+        ],
+    )
+    def test_bad_warm_spec_is_a_usage_error(self, spec, message, tmp_path, capsys):
+        sock = tmp_path / "serve.sock"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--unix", str(sock), "--warm", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --warm" in err and message in err
+        assert not sock.exists()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ("{not json", "Expecting property name"),
+            ('{"16": "x"}', "wisdom key '16' needs at least 'n:direction'"),
+            ('{"0:forward": "x"}', "size '0' is not a positive integer"),
+            ('{"16:sideways": "x"}', "unknown direction 'sideways'"),
+            ("[]", "a wisdom snapshot is a JSON object"),
+        ],
+        ids=["missing", "malformed", "short-key", "size", "direction", "not-a-dict"],
+    )
+    def test_bad_wisdom_is_a_usage_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "wisdom.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        sock = tmp_path / "serve.sock"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--unix", str(sock), "--wisdom", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --wisdom" in err and message in err
+        assert not sock.exists()

@@ -223,7 +223,7 @@ class TestProfile:
         p = plan_fft(n)
         x = np.random.default_rng(5).standard_normal(n) + 0j
         p.execute(x)  # warm caches before the timed run
-        result = p.profile(x)
+        result = p.program.profile(x)
         assert result.n == n
         assert result.entries, "compiled plans must expose per-stage entries"
         assert sum(e.seconds for e in result.entries) == pytest.approx(

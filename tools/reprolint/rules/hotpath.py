@@ -42,7 +42,6 @@ WAIVER = "alloc-ok"
 #: ``_overwrite`` suffixes are hot in every listed file.
 HOT_FILES = {
     "src/repro/fftlib/executor.py": ("execute", "transform"),
-    "src/repro/fftlib/real.py": ("execute", "transform"),
     # FTPlan's execute* entry points run the (allocating) protection
     # machinery; only its transform fast paths are allocation-sensitive.
     "src/repro/core/ftplan.py": ("transform",),
