@@ -1,20 +1,20 @@
-"""Nightly differential sweep: fused protected execution vs the legacy scheme.
+"""Nightly differential sweep: the protected kernel vs the legacy scheme.
 
-Fault-free protected runs go through
-:class:`repro.fftlib.protected.ProtectedStageProgram` - the paper's one
-end-to-end check (``c . x = r . X``) around the plan's own lowering -
-instead of the paper-exact group-wise scheme.  That fast path is only
-sound if it is *indistinguishable* from the legacy path on everything
-except speed, so this harness sweeps randomized trials
-(``REPRO_BENCH_TRIALS``, 200 in the nightly run) over both protected
-schemes and asserts, per trial:
+Fault-free protected runs go through the plan's protected kernel - the
+paper's one end-to-end check (``c . x = r . X``) around the plan's own
+lowering, tapped by :class:`repro.fftlib.protected.ProtectedStageProgram` -
+instead of the paper-exact group-wise scheme.  That path is only sound if
+it is *indistinguishable* from the legacy path on everything except speed,
+so this harness sweeps randomized trials (``REPRO_BENCH_TRIALS``, 200 in
+the nightly run) over both protected schemes and asserts, per trial:
 
-* **spectrum** - the fused output is *bitwise* identical to the plan's own
-  program (``get_program(n)``, native stage bodies where the tier is up)
-  and within roundoff of the legacy scheme path (the legacy path uses
-  different sub-FFTs and reduction order);
-* **check** - the output checksum ``r . X`` the fused program returns is
-  exactly one dot over that spectrum;
+* **spectrum** - the kernel's output is *bitwise* identical to the plan's
+  own program (``get_program(n)``, native stage bodies where the tier is
+  up; ``numpy.fft.fft`` itself on the ``+numpy`` backend) and within
+  roundoff of the legacy scheme path (the legacy path uses different
+  sub-FFTs and reduction order);
+* **check** - the output checksum ``r . X`` the tap returns is exactly one
+  dot over that spectrum;
 * **decision** - both paths agree the run is clean: no detected
   verification, no corrections, no uncorrectable faults;
 * **routing/coverage** - a live injector on the *same plan object* routes
@@ -62,12 +62,12 @@ def _clean_report(report) -> bool:
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_fused_fault_free_differential(scheme):
-    """Fused path == the plan's program (bitwise) == legacy scheme (roundoff)."""
+    """The kernel == the plan's program (bitwise) == legacy scheme (roundoff)."""
 
     n = _size()
     p = plan_for(scheme, n)
-    fused_program = p._fused_program
-    assert fused_program is not None, "protected plan must carry a fused program"
+    fused_program = p._tap
+    assert fused_program is not None, "a protected plan must carry a tap"
     program = get_program(n)
     assert fused_program.program is program, "the check must wrap the plan's own lowering"
     rng = np.random.default_rng(20170712)
@@ -77,7 +77,7 @@ def test_fused_fault_free_differential(scheme):
         fused = p.execute(x)
         compiled = program.execute(x.reshape(1, n)).reshape(n)
         assert np.array_equal(fused.output, compiled), (
-            f"{scheme} trial {trial}: fused spectrum is not bitwise-identical "
+            f"{scheme} trial {trial}: the kernel's spectrum is not bitwise-identical "
             "to the plan's own program"
         )
         _, rx = fused_program.execute_tapped(x)
@@ -91,6 +91,23 @@ def test_fused_fault_free_differential(scheme):
         assert _clean_report(fused.report) and _clean_report(legacy.report), (
             f"{scheme} trial {trial}: paths disagree on the clean-run decision"
         )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_numpy_backend_fault_free_differential(scheme):
+    """On ``+numpy`` the kernel wraps ``numpy.fft.fft`` itself: same spectrum, clean."""
+
+    n = _size()
+    p = plan_for(scheme, n, backend="numpy")
+    rng = np.random.default_rng(20171113)
+    for trial in range(campaign_trials()):
+        x = _trial_input(rng, n)
+        result = p.execute(x)
+        # reprolint: fft-ok - the backend the kernel wraps is the oracle
+        assert np.array_equal(result.output, np.fft.fft(x)), (
+            f"{scheme}+numpy trial {trial}: spectrum is not numpy.fft.fft's"
+        )
+        assert _clean_report(result.report), f"{scheme}+numpy trial {trial}: not clean"
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -126,7 +143,7 @@ def test_fused_plan_fault_campaign(scheme):
 
     n = _size()
     p = plan_for(scheme, n)
-    assert p._fused_program is not None
+    assert p._tap is not None
     rng = np.random.default_rng(20171112)
     trials = campaign_trials()
     undetected, uncorrected, dirty = [], [], []

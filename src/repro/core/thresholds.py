@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -301,149 +301,63 @@ class ThresholdPolicy:
 
         return self.eta_stage1(n, data, sigma0=sigma0)
 
-    def offline_threshold_fn(self, n: int) -> "Callable[[float], float]":
-        """A ``sigma0 -> eta`` closure bit-identical to :meth:`eta_offline`.
+    def offline_unit(self, n: int) -> float:
+        """:meth:`eta_offline` of an ``n``-point transform per unit ``sigma0``.
 
-        Every data-independent scalar (``sqrt(n)``, ``log2(n)``,
-        ``sigma_eps^2`` and their products) is bound once, in the exact
-        evaluation order and dtypes of the per-call formula, so the closure's
-        result matches :meth:`eta_offline` bit for bit while costing one
-        short multiply chain.  Built at plan time by the fused protected
-        path, which derives a threshold on every execution.
+        Both threshold modes are linear in ``sigma0``, so a plan evaluates
+        this once per check and :meth:`tile_thresholds` scales it by each
+        row's sampled ``sigma0``.
         """
 
-        sqrt_n = float(np.sqrt(n))
-        floor = self.floor
         if self.mode is ThresholdMode.RELATIVE:
-            base = sqrt_n * n  # float(np.sqrt(m)) * m, same association
-            rel = self.relative_factor
+            return self.relative_factor * float(np.sqrt(n)) * n
+        return self.safety_factor * float(np.sqrt(n)) * self.model.checksum_roundoff_sigma(n, 1.0)
 
-            def eta_relative(sigma0: float) -> float:
-                return max(rel * (base * max(sigma0, 1e-30)), floor)
+    def memory_unit(self, n: int, weight_rms: float) -> float:
+        """:meth:`eta_memory` of ``n`` weights of RMS ``weight_rms`` per unit ``sigma0``."""
 
-            return eta_relative
-        prefactor = self.safety_factor * sqrt_n
-        if n < 2:
-            const = max(prefactor * 0.0, floor)
-            return lambda sigma0: const
-        # fft_roundoff_sigma's radicand, left-associated exactly as written
-        # there: (((2.0 * n) * sigma0**2) * sigma_eps**2) * log2(n).
-        two_n = 2.0 * n
-        eps2 = self.model.sigma_eps ** 2
-        log2_n = np.log2(n)  # numpy scalar, preserving the promotion
-
-        def eta_paper(sigma0: float) -> float:
-            roundoff = float(np.sqrt(((two_n * sigma0 ** 2) * eps2) * log2_n))
-            sigma_roe = float(n * roundoff)
-            return max(prefactor * sigma_roe, floor)
-
-        return eta_paper
-
-    def memory_threshold_fn(self, n: int) -> "Callable[[float, float], float]":
-        """A ``(weight_rms, data_rms) -> eta`` closure matching :meth:`eta_memory`.
-
-        Same contract as :meth:`offline_threshold_fn`: the weight- and
-        data-independent factors are bound once with unchanged evaluation
-        order, so results are bit-identical to calling :meth:`eta_memory`
-        with precomputed ``weight_rms``/``data_rms``.
-        """
-
-        floor = self.floor
+        # the data's magnitude RMS is sigma0 * sqrt(2)
+        value_rms = weight_rms * float(np.sqrt(2.0))
         if self.mode is ThresholdMode.RELATIVE:
-            rel = self.relative_factor
+            return self.relative_factor * n * value_rms
+        return self.safety_factor * self.memory_margin * self.model.summation_sigma(n, value_rms)
 
-            def eta_relative(weight_rms: float, data_rms: float) -> float:
-                return max(rel * n * (weight_rms * data_rms), floor)
+    def tile_thresholds(self, rows: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """Per-row thresholds of a ``(rows, width)`` tile: ``(rows, len(units))``.
 
-            return eta_relative
-        eps = self.model.sigma_eps
-        prefactor = self.safety_factor * self.memory_margin
-
-        def eta_paper(weight_rms: float, data_rms: float) -> float:
-            sigma = float(n * (weight_rms * data_rms) * eps)
-            return max(prefactor * sigma, floor)
-
-        return eta_paper
-
-    def eta_offline_batch(
-        self, n: int, rows: np.ndarray, *, sigma0: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Per-row offline thresholds for a ``(batch, n)`` array, vectorized.
-
-        Semantically one :meth:`eta_offline` per row, but computed without a
-        Python loop so batched execution (``FTPlan.execute_many``) keeps its
-        protection fully vectorized.  Both threshold modes are linear in the
-        per-row ``sigma_0``, so the data-independent factor is evaluated once
-        and scaled by the vector of per-row sigmas.  ``sigma0`` may carry a
-        precomputed :meth:`component_sigma_rows` of ``rows`` (bit-identical,
-        lets a caller sample the batch once and share the statistics with
-        :meth:`eta_memory_batch`).
+        One robust sample of each row's ``sigma0`` (see
+        :meth:`_component_sigma_rows`), times each plan-time unit
+        (:meth:`offline_unit`, :meth:`memory_unit`), floored.
         """
 
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-        if sigma0 is None:
-            sigma0 = self._component_sigma_rows(rows)
+        sigma0 = self._component_sigma_rows(rows)
         if self.mode is ThresholdMode.RELATIVE:
-            unit = self.relative_factor * float(np.sqrt(n)) * n
-            etas = unit * np.maximum(sigma0, 1e-30)
-        else:
-            # checksum_roundoff_sigma(n, s) = s * checksum_roundoff_sigma(n, 1)
-            unit = (
-                self.safety_factor * float(np.sqrt(n)) * self.model.checksum_roundoff_sigma(n, 1.0)
-            )
-            etas = unit * sigma0
-        return np.maximum(etas, self.floor)
-
-    def component_sigma_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Public vectorized per-row :meth:`component_sigma`.
-
-        Exposed so batched callers can sample a batch *once* and feed the
-        same statistics into both :meth:`eta_offline_batch` and
-        :meth:`eta_memory_batch` (bit-identical thresholds either way).
-        """
-
-        return self._component_sigma_rows(rows)
+            sigma0 = np.maximum(sigma0, 1e-30)
+        return np.maximum(sigma0[:, None] * units, self.floor)
 
     def _component_sigma_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized per-row :meth:`component_sigma` (robust, sampled)."""
+        """Per-row :meth:`component_sigma` of a ``(rows, width)`` tile (robust, sampled).
+
+        The same outlier rule as :meth:`_magnitude_rms`, with the upper
+        middle order statistic as each row's median.
+        """
 
         step = max(1, rows.shape[1] // self.sample_size)
         sample = np.abs(rows[:, ::step])
-        finite = np.isfinite(sample)
-        if finite.all():
-            # Fault-free batches are all-finite, so the median is one C
-            # partition per row (np.nanmedian would route through a per-row
-            # apply_along_axis that dominates the whole batched protection
-            # pipeline).  Calling partition directly skips np.median's
-            # _ureduce/moveaxis dispatch - several FFT-sized passes of pure
-            # Python per batch - and reproduces its result bit for bit:
-            # the midpoint (a+b)*0.5 of the two central order statistics is
-            # np.mean of the same pair, and for odd widths the single
-            # central statistic.
-            width = sample.shape[1]
-            mid = width // 2
-            if width % 2:
-                median = np.partition(sample, mid, axis=1)[:, mid]
-            else:
-                part = np.partition(sample, (mid - 1, mid), axis=1)
-                median = (part[:, mid - 1] + part[:, mid]) * 0.5
-        else:
-            with np.errstate(invalid="ignore"):
-                median = np.nanmedian(np.where(finite, sample, np.nan), axis=1)
-            median = np.nan_to_num(median, nan=0.0)
-        # Same outlier rule as _magnitude_rms: drop non-finite values and
-        # values more than 1e6 x the per-row median (rows whose median is 0
-        # keep everything finite, mirroring the scalar path).
-        keep = finite & (
-            (median[:, None] <= 0.0) | (sample <= 1e6 * median[:, None])
-        )
+        width = sample.shape[1]
+        median = np.partition(sample, width // 2, axis=1)[:, width // 2]
+        squares = np.einsum("ij,ij->i", sample, sample)
+        # The common case in one comparison: a sum of squares within
+        # (1e6 x median)^2 means no value is non-finite or an outlier.
+        if (squares <= 1e12 * np.square(median)).all():
+            return np.sqrt(squares * (0.5 / width))
+        # Drop non-finite values and values more than 1e6 x the median
+        # (rows whose median is 0 keep everything finite).
+        keep = np.isfinite(sample) & ((median[:, None] <= 0.0) | (sample <= 1e6 * median[:, None]))
         counts = keep.sum(axis=1)
-        sums = np.square(np.where(keep, sample, 0.0)).sum(axis=1)
-        rms = np.sqrt(sums / np.maximum(counts, 1))
-        rms = np.where(counts > 0, rms, median)
-        return rms / np.sqrt(2.0)
+        sample = np.where(keep, sample, 0.0)
+        rms = np.sqrt(np.einsum("ij,ij->i", sample, sample) / np.maximum(counts, 1))
+        return np.where(counts > 0, rms, np.nan_to_num(median, posinf=0.0)) * np.sqrt(0.5)
 
     def eta_memory(
         self,
@@ -481,44 +395,3 @@ class ThresholdPolicy:
             return max(self.relative_factor * n * value_rms, self.floor)
         sigma = self.model.summation_sigma(n, value_rms)
         return max(self.safety_factor * self.memory_margin * sigma, self.floor)
-
-    def eta_memory_batch(
-        self,
-        weights: np.ndarray,
-        rows: np.ndarray,
-        *,
-        weight_rms: Optional[float] = None,
-        sigma0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-row memory-checksum thresholds for a ``(batch, n)`` array.
-
-        Semantically one :meth:`eta_memory` per row, vectorized: both modes
-        are linear in the per-row data RMS, so the weight/data-independent
-        factor is computed once and scaled by the vector of row RMS values.
-        ``weight_rms`` optionally carries the plan-time precomputed
-        weight-vector RMS (see :meth:`eta_memory`); ``sigma0`` a precomputed
-        :meth:`component_sigma_rows` of ``rows`` (see
-        :meth:`eta_offline_batch`).
-        """
-
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
-        weights = np.asarray(weights)
-        n = weights.shape[0]
-        if weight_rms is None:
-            weight_rms = float(np.sqrt(np.mean(np.abs(weights) ** 2))) if n else 0.0
-        if sigma0 is None:
-            sigma0 = self._component_sigma_rows(rows)
-        # component sigma is rms/sqrt(2); undo to get magnitude RMS.
-        value_rms = weight_rms * sigma0 * float(np.sqrt(2.0))
-        if self.mode is ThresholdMode.RELATIVE:
-            etas = self.relative_factor * n * value_rms
-        else:
-            etas = (
-                self.safety_factor
-                * self.memory_margin
-                * self.model.summation_sigma(n, 1.0)
-                * value_rms
-            )
-        return np.maximum(etas, self.floor)

@@ -7,22 +7,19 @@ is live.  The paper's offline check (Algorithm 1, ``c . x = r . X``) needs
 only the transform's input and output, so it can sit around *whatever*
 program the size lowers to.
 
-:class:`ProtectedStageProgram` freezes, at plan time, everything that check
-needs next to the plan's own :class:`~repro.fftlib.executor.StageProgram`
-(the same cached object the unprotected and batched paths run, native
-stage bodies included):
+:class:`ProtectedStageProgram` is that check next to the plan's own
+:class:`~repro.fftlib.executor.StageProgram` (the same cached object the
+unprotected paths run, native stage bodies included), or next to a foreign
+backend's ``fft`` (:class:`BackendProgram`).  It holds no weights of its
+own: ``c = r A`` and ``r`` are the plan's
+:class:`~repro.core.constants.SchemeConstants` arrays.
 
-* the computational weights ``r`` and the input encoding ``c = r A``,
-  bit-identical to :class:`~repro.core.constants.SchemeConstants` (same
-  encoding family, closed form vs naive);
-* the memory-checksum locating pair ``(w1, w2)`` and its plan-time weight
-  RMS.
-
-Per call, :meth:`encode` is one ``c . x`` dot and :meth:`execute_tapped`
-runs the program and one ``r . X`` dot, so the spectrum is bit-identical to
-the unprotected program.  One check covers the interior stages too: an
-error ``e`` in element ``k'`` of row ``b`` after the stage of span ``L``
-(``count = n / L`` rows) moves ``r . X`` by ``e`` times
+Per call, :meth:`~ProtectedStageProgram.encode` is one ``c . x`` product and
+:meth:`~ProtectedStageProgram.execute_tapped` runs the program and one
+``r . X`` product, for one vector or a tile of rows, so the spectrum is
+bit-identical to the unprotected program.  One check covers the interior
+stages too: an error ``e`` in element ``k'`` of row ``b`` after the stage of
+span ``L`` (``count = n / L`` rows) moves ``r . X`` by ``e`` times
 ``sum_t r[k' + t L] omega_count^(b t)``.  With ``r_j = omega_p^j`` and ``p``
 the smallest *odd* prime not dividing ``n`` (``checksum_prime``) that sum
 has magnitude ``|1 - omega_p^n| / |1 - omega_p^L omega_count^b| >=
@@ -37,39 +34,52 @@ finish is one C pass (``repro_inverse_finish``) that also sums ``F(X)`` by
 residue class mod ``p`` - ``r`` has period ``p``, so ``r . F(X)`` is ``p``
 products of those sums - in place, so the inverse allocates nothing beyond
 the program's output.  Wherever the program ran its NumPy bodies (below
-the native crossover, without the tier, generic bases above 8) the finish
-is the NumPy ``r . F(X)`` dot plus a reversed, scaled copy.
-Live fault injectors never reach this module - ``FTPlan`` routes them
-through the paper-exact scheme path.
+the native crossover, without the tier, generic bases above 8, foreign
+backends) the finish is the NumPy ``r . F(X)`` product plus a reversed,
+scaled copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
-from repro.fftlib.executor import (
-    _NATIVE_MIN_ELEMENTS,
-    StageProgram,
-    _cached_program,
-    get_program,
-)
+from repro.fftlib.executor import _NATIVE_MIN_ELEMENTS, get_program
 from repro.telemetry import trace as _trace
 
+if TYPE_CHECKING:  # pragma: no cover - fftlib does not import repro.core at runtime
+    from repro.core.constants import SchemeConstants
+
 __all__ = [
+    "BackendProgram",
     "ProtectedStageProgram",
-    "get_protected_program",
 ]
+
+
+class BackendProgram:
+    """A registered backend's ``fft`` in the place of a lowered program.
+
+    It has no native tier, so a protected inverse over it finishes in NumPy.
+    """
+
+    native = None
+
+    def __init__(self, backend: Any) -> None:
+        self.backend = backend
+
+    def execute(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Forward DFT along the last axis (``out`` is not written: the backend allocates)."""
+
+        return self.backend.fft(x, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class ProtectedStageProgram:
-    """A frozen protected execution recipe for one size.
+    """The end-to-end check around one size's program.
 
-    Immutable after construction and safe to share across threads and the
-    program LRU.
+    Immutable after construction and safe to share across threads.
 
     Attributes
     ----------
@@ -77,151 +87,82 @@ class ProtectedStageProgram:
         Transform length.
     program:
         The plan's own lowering (:func:`~repro.fftlib.executor.get_program`,
-        shared with the unprotected and batched paths via the program
-        cache).
+        shared with the unprotected paths via the program cache) or a
+        :class:`BackendProgram`.
     c, r:
         The end-to-end pair: input encoding ``c = r A`` and computational
-        weights ``r``, built with the same encoding family (closed form vs
-        naive) as :class:`SchemeConstants`, so ``c . x`` is bit-identical
-        to the legacy scheme's input checksum.
+        weights ``r``, the plan's ``SchemeConstants.c_n`` and ``r_n``
+        themselves.
     p:
         The period of ``r`` (``r_j = omega_p^(j mod p)``): the number of
         residue-class sums the native inverse finish returns.
-    optimized / memory_ft:
-        The plan-configuration axes the operators were built for (part of
-        the program-cache key).
-    w1, w2:
-        Memory-checksum locating pair (Section 4.1 modified weights when
-        ``optimized``, classic otherwise); ``None`` when ``memory_ft`` is
-        off.
-    w1_rms:
-        Plan-time weight RMS of ``w1`` for the memory threshold.
-    reuse_input_checksum:
-        True when ``w1`` *is* the end-to-end encoding ``c`` (the modified
-        weights of the optimized scheme), so ``s1`` equals the input
-        checksum bit-for-bit and need not be recomputed.
     """
 
     n: int
-    program: StageProgram
+    program: Any
     c: np.ndarray
     r: np.ndarray
     p: int
-    optimized: bool
-    memory_ft: bool
-    w1: "np.ndarray | None"
-    w2: "np.ndarray | None"
-    w1_rms: float
-    reuse_input_checksum: bool
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, n: int, *, optimized: bool, memory_ft: bool) -> "ProtectedStageProgram":
-        """Lower size ``n`` plus its verification operators, once.
+    def build(cls, constants: "SchemeConstants", program: Any = None) -> "ProtectedStageProgram":
+        """The check of ``constants`` around ``program`` (default: the size's lowering).
 
-        The core-layer operator constructors are imported lazily (the same
-        direction :meth:`SchemeConstants.with_inplace` already crosses) so
-        ``fftlib`` keeps no hard dependency on ``repro.core``.
+        ``checksum_prime`` is imported lazily (the direction
+        :meth:`SchemeConstants.with_inplace` already crosses) so ``fftlib``
+        keeps no hard dependency on ``repro.core``.
         """
 
-        from repro.core.checksums import (
-            checksum_prime,
-            computational_weights,
-            input_checksum_weights,
-            input_checksum_weights_naive,
-            memory_weights_classic,
-            memory_weights_modified,
-        )
-        from repro.core.constants import weight_rms
+        from repro.core.checksums import checksum_prime
 
-        program = get_program(n)
-        c = input_checksum_weights(n) if optimized else input_checksum_weights_naive(n)
-        w1 = w2 = None
-        w1_rms = 0.0
-        if memory_ft:
-            if optimized:
-                w1, w2 = memory_weights_modified(n, base=c)
-            else:
-                w1, w2 = memory_weights_classic(n)
-            w1_rms = weight_rms(w1)
+        n = constants.n
+        if program is None:
+            program = get_program(n)
         if _trace.active:
-            _trace.emit(
-                "protected-compile",
-                n=int(n),
-                optimized=bool(optimized),
-                memory_ft=bool(memory_ft),
-                native=program.native is not None,
-            )
-        return cls(
-            n=int(n),
-            program=program,
-            c=c,
-            r=computational_weights(n),
-            p=checksum_prime(n),
-            optimized=bool(optimized),
-            memory_ft=bool(memory_ft),
-            w1=w1,
-            w2=w2,
-            w1_rms=w1_rms,
-            reuse_input_checksum=w1 is c,
-        )
+            _trace.emit("protected-compile", n=int(n), native=program.native is not None)
+        return cls(n=n, program=program, c=constants.c_n, r=constants.r_n, p=checksum_prime(n))
 
     # ------------------------------------------------------------------
-    def encode(self, x: np.ndarray) -> complex:
+    def encode(self, x: np.ndarray) -> Any:
         """The input checksum ``c . x`` (the reference side of the check).
 
-        Same ``np.dot`` on the same operands as
-        :func:`~repro.core.checksums.weighted_sum`, so it is bit-identical
-        to the legacy scheme's; overflow from a corrupted input is a
-        mismatch, not a warning.
+        One value for one vector, one per row for a ``(rows, n)`` tile.
+        Overflow from a corrupted input is a mismatch, not a warning.
         """
 
         with np.errstate(over="ignore", invalid="ignore"):
-            return complex(np.dot(self.c, x))
+            return np.dot(x, self.c)
 
-    def execute_tapped(self, x: np.ndarray, backward: bool = False) -> Tuple[np.ndarray, complex]:
-        """Forward DFT of one vector plus its output checksum ``r . X``.
+    def execute_tapped(
+        self, x: np.ndarray, backward: bool = False, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Any]:
+        """Forward DFT of ``x`` plus its output checksum ``r . X``.
 
+        ``x`` is one vector or a ``(rows, n)`` tile, whose checksum is one
+        value per row; ``out``, when given, receives the forward result.
         With ``backward`` the output is the inverse DFT of ``x`` instead,
         ``F(x)`` reversed and scaled by ``1/n``, and the checksum is still
         the forward program's ``r . F(x)``: the one :meth:`encode` predicts.
         """
 
-        out = self.program.execute(x)
+        y = self.program.execute(x, out=None if backward else out)
         if not backward:
             with np.errstate(over="ignore", invalid="ignore"):
-                return out, complex(np.dot(self.r, out))
-        if self.n >= _NATIVE_MIN_ELEMENTS and self.program.native is not None:
-            # The program ran in C: finish there too, in place, in one pass.
-            # reprolint: alloc-ok - p residue-class sums, not an n-vector
-            sums = np.empty(self.p, dtype=np.complex128)
-            self.program.native.finish_inverse(out, sums)
+                return y, np.dot(y, self.r)
+        if y.size >= _NATIVE_MIN_ELEMENTS and self.program.native is not None:
+            # The program ran in C: finish there too, in place, one pass a row.
+            # reprolint: alloc-ok - p residue-class sums a row, not an n-vector
+            sums = np.empty(y.shape[:-1] + (self.p,), dtype=np.complex128)
+            for row, row_sums in zip(y.reshape(-1, self.n), sums.reshape(-1, self.p)):
+                self.program.native.finish_inverse(row, row_sums)
             with np.errstate(over="ignore", invalid="ignore"):
-                return out, complex(np.dot(self.r[: self.p], sums))
+                return y, np.dot(sums, self.r[: self.p])
         with np.errstate(over="ignore", invalid="ignore"):
-            rx = complex(np.dot(self.r, out))
+            rx = np.dot(y, self.r)
         # reprolint: alloc-ok - the inverse's output: F(x) reversed, then
         # scaled in place through its float64 view, as the C finish scales
-        inverse = np.concatenate((out[:1], out[:0:-1]))
+        inverse = np.concatenate((y[..., :1], y[..., :0:-1]), axis=-1)
         parts = inverse.view(np.float64)
         parts *= 1.0 / self.n
         return inverse, rx
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """One-line listing: the wrapped program plus the check."""
-
-        return (
-            f"ProtectedStageProgram(n={self.n}, check=end-to-end, "
-            f"optimized={self.optimized}, memory_ft={self.memory_ft}, "
-            f"inner={self.program.describe()})"
-        )
-
-
-def get_protected_program(n: int, *, optimized: bool, memory_ft: bool) -> ProtectedStageProgram:
-    """Fused protected program for ``n``, from the shared program LRU."""
-
-    key = ("protected", int(n), bool(optimized), bool(memory_ft))
-    return _cached_program(
-        key, lambda: ProtectedStageProgram.build(n, optimized=optimized, memory_ft=memory_ft)
-    )

@@ -83,11 +83,12 @@ class TestSchemeConstantsBundle:
         assert plan.scheme.constants is plan.constants
         assert plan.constants.n == N
 
-    def test_plan_batch_vectors_come_from_the_bundle(self):
+    def test_kernel_weights_come_from_the_bundle(self):
         plan = FTPlan(N, "opt-online+mem")
-        assert plan._c is plan.constants.c_n
-        assert plan._r is plan.constants.r_n
-        assert plan._w1 is plan.constants.w1_n
+        assert plan._tap.c is plan.constants.c_n
+        assert plan._tap.r is plan.constants.r_n
+        assert plan._forward.pair[0] is plan.constants.w1_n
+        assert plan._forward.pair[1] is plan.constants.w2_n
 
 
 class TestNoSetupWorkInsideExecute:

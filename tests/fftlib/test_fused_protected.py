@@ -1,22 +1,21 @@
-"""Differential tests: the fused protected program vs the legacy scheme path.
+"""Differential tests: the protected kernel's tap vs the legacy scheme path.
 
-The fused path wraps the plan's own lowering in the paper's end-to-end
-check; these tests pin down the equivalences that make that safe:
+The kernel wraps the plan's own lowering in the paper's end-to-end check;
+these tests pin down the equivalences that make that safe:
 
-* the fused spectrum is *bitwise* identical to the plan's own program
-  (``get_program(n)``, the object ``execute_many`` runs too);
-* the reference checksum ``c . x`` is bitwise identical to the legacy
-  scheme's (same operators from the same constants);
+* the protected spectrum is *bitwise* identical to the plan's own program
+  (``get_program(n)``, for single calls and batches alike);
+* the tap's weights are the plan's ``SchemeConstants`` arrays themselves,
+  so the reference checksum ``c . x`` is bitwise the legacy scheme's;
 * the one check covers every stage boundary: analytically (the weight of
   every intermediate element in ``r . X`` is non-zero) and by injection (a
   bump after any stage of the NumPy lowering is detected and undone);
-* the detection thresholds are bitwise identical between the paths (the
-  plan-time threshold closures reproduce ``eta_offline`` / ``eta_memory``
-  exactly);
+* the tile thresholds are the scalar ``eta_offline`` / ``eta_memory`` per
+  row;
 * clean runs make the same no-fault decision on both paths, and a live
-  injector never reaches the fused program - every instrumented fault site
-  still fires through the paper-exact scheme machinery;
-* the fused verification loop detects and repairs faults arriving between
+  injector never reaches the kernel - every instrumented fault site still
+  fires through the paper-exact scheme machinery;
+* the kernel's retry loop detects and repairs faults arriving between
   encode and transform (memory) or inside the transform (computational).
 """
 
@@ -30,14 +29,14 @@ import repro
 from repro.core.checksums import weighted_sum
 from repro.core.config import FTConfig
 from repro.core.constants import SchemeConstants
-from repro.core.ftplan import FTPlan, clear_plan_cache
+from repro.core.ftplan import TILE_ELEMENTS, FTPlan, clear_plan_cache
 from repro.core.thresholds import ThresholdMode, ThresholdPolicy
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
 from repro.fftlib import executor
 from repro.fftlib.executor import StageProgram, clear_program_cache, get_program
 from repro.fftlib.native import NativeProgram, native_supported
-from repro.fftlib.protected import ProtectedStageProgram, get_protected_program
+from repro.fftlib.protected import ProtectedStageProgram
 
 HAVE_NATIVE = native_supported()
 
@@ -57,6 +56,12 @@ def _data(n, seed=0):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _tap(n, optimized=True):
+    """The check of a fresh ``n``-point bundle around the size's lowering."""
+
+    return ProtectedStageProgram.build(SchemeConstants.for_config(n, FTConfig(optimized=optimized)))
+
+
 class TestFusedSpectrum:
     @pytest.mark.parametrize("n", SIZES)
     def test_bitwise_identical_to_compiled_program(self, n):
@@ -66,16 +71,15 @@ class TestFusedSpectrum:
         assert np.array_equal(fused, direct)
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_fused_and_batched_paths_share_one_program(self, n):
+    def test_single_and_batched_calls_share_one_program(self, n):
         p = repro.plan(n)
-        assert p._fused_program.program is p._batch_program is get_program(n)
+        assert p._tap.program is p._program is get_program(n)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_matches_legacy_scheme_within_roundoff(self, n):
         x = _data(n)
         p = repro.plan(n)
-        assert p._fused_program is not None
-        fused = p._execute_fused(x).output
+        fused = p.execute(x).output
         legacy = p.scheme.execute(x).output
         assert np.allclose(fused, legacy, rtol=1e-9, atol=1e-9)
 
@@ -107,11 +111,17 @@ class TestFusedSpectrum:
 
     @pytest.mark.parametrize("n", [720, 4096, 262144])
     def test_execute_tapped_is_the_program_plus_one_dot(self, n):
-        prog = ProtectedStageProgram.build(n, optimized=True, memory_ft=True)
+        prog = _tap(n)
         x = _data(n)
         out, rx = prog.execute_tapped(x)
         assert np.array_equal(out, get_program(n).execute(x))
         assert rx == complex(np.dot(prog.r, out))
+        # a tile: one checksum per row (a matrix-vector product, so equal
+        # to each row's own dot up to the summation order)
+        tile = np.stack([x, _data(n, seed=1)])
+        outs, rxs = prog.execute_tapped(tile)
+        assert np.array_equal(outs, get_program(n).execute(tile))
+        assert np.allclose(rxs, [np.dot(prog.r, row) for row in outs], rtol=1e-13)
 
 
 class TestReferenceChecksums:
@@ -120,25 +130,31 @@ class TestReferenceChecksums:
     def test_final_reference_bitwise_equals_legacy_cx(self, n, optimized):
         config = FTConfig(optimized=optimized)
         consts = SchemeConstants.for_config(n, config)
-        prog = get_protected_program(n, optimized=optimized, memory_ft=True)
+        prog = ProtectedStageProgram.build(consts)
         x = _data(n)
-        assert np.array_equal(prog.c, consts.c_n)
-        assert np.array_equal(prog.r, consts.r_n)
+        assert prog.c is consts.c_n and prog.r is consts.r_n
         assert prog.encode(x) == complex(weighted_sum(consts.c_n, x))
 
-    def test_memory_pair_matches_scheme_constants(self):
-        n = 720
-        consts = SchemeConstants.for_config(n, FTConfig())
-        prog = get_protected_program(n, optimized=True, memory_ft=True)
-        assert np.array_equal(prog.w1, consts.w1_n)
-        assert np.array_equal(prog.w2, consts.w2_n)
-        assert prog.w1_rms == consts.w1_n_rms
+    @pytest.mark.parametrize("name", ["opt-online+mem", "opt-offline+mem", "online+mem"])
+    def test_one_copy_of_each_weight_vector(self, name):
+        """The tap and the kernel hold the plan's own arrays: no second copy."""
+
+        n = 4096
+        p = FTPlan(n, name)
+        consts = p.constants
+        assert p._tap.c is consts.c_n and p._tap.r is consts.r_n
+        assert p._forward.pair[0] is consts.w1_n and p._forward.pair[1] is consts.w2_n
+        held = [consts.__dict__[f] for f in ("r_n", "c_n", "w1_n", "w2_n")]
+        held += [p._tap.c, p._tap.r, *p._forward.pair]
+        distinct = {id(a) for a in held}
+        # c doubles as w1 for the modified weights of the optimized schemes
+        assert len(distinct) == (3 if name.startswith("opt-") else 4)
 
     @pytest.mark.parametrize("n", [4096, 6144, 1009])
     def test_encoding_is_r_times_the_dft_matrix(self, n):
         """``c = r A`` column by column: ``c . e_j`` is ``r . DFT(e_j)``."""
 
-        prog = get_protected_program(n, optimized=True, memory_ft=True)
+        prog = _tap(n)
         columns = np.random.default_rng(n).integers(0, n, 8)
         for j in columns:
             unit = np.zeros(n, dtype=complex)
@@ -150,7 +166,7 @@ class TestReferenceChecksums:
     def test_check_verifies_clean_data(self, n):
         """The output checksum agrees with the reference on clean input."""
 
-        prog = get_protected_program(n, optimized=True, memory_ft=True)
+        prog = _tap(n)
         x = _data(n)
         _, rx = prog.execute_tapped(x)
         scale = float(np.sqrt(n)) * float(np.linalg.norm(x))
@@ -159,37 +175,29 @@ class TestReferenceChecksums:
 
 class TestThresholdEquivalence:
     @pytest.mark.parametrize("mode", [ThresholdMode.PAPER, ThresholdMode.RELATIVE])
-    @pytest.mark.parametrize("n", [1, 2, 720, 4096, 1 << 20])
-    def test_offline_closure_bitwise_equals_eta_offline(self, mode, n):
+    @pytest.mark.parametrize("n", [2, 720, 4096, 1 << 20])
+    def test_tile_thresholds_are_the_scalar_thresholds_per_row(self, mode, n):
         pol = ThresholdPolicy(mode=mode)
-        fn = pol.offline_threshold_fn(n)
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            sigma0 = float(rng.uniform(0.1, 4.0)) * 10.0 ** int(rng.integers(-20, 20))
-            assert fn(sigma0) == pol.eta_offline(n, None, sigma0=sigma0)
-        assert fn(0.0) == pol.eta_offline(n, None, sigma0=0.0)
-
-    @pytest.mark.parametrize("mode", [ThresholdMode.PAPER, ThresholdMode.RELATIVE])
-    def test_memory_closure_bitwise_equals_eta_memory(self, mode):
-        pol = ThresholdPolicy(mode=mode)
-        n = 720
-        fn = pol.memory_threshold_fn(n)
-        weights = np.ones(n)
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            wr = float(rng.uniform(0.5, 2.0))
-            dr = float(rng.uniform(0.0, 8.0))
-            assert fn(wr, dr) == pol.eta_memory(
-                weights, None, weight_rms=wr, data_rms=dr
+        weights = np.ones(min(n, 4096))
+        w_rms = 1.5
+        units = np.array([pol.offline_unit(n), pol.memory_unit(weights.size, w_rms)])
+        rows = np.stack([_data(min(n, 4096), seed=s) * 10.0 ** (3 * s - 6) for s in range(5)])
+        etas = pol.tile_thresholds(rows, units)
+        for row, (eta, eta_mem) in zip(rows, etas):
+            rms = pol.magnitude_rms(row)
+            sigma0 = rms / np.sqrt(2.0)
+            assert eta == pytest.approx(pol.eta_offline(n, None, sigma0=sigma0), rel=1e-12)
+            assert eta_mem == pytest.approx(
+                pol.eta_memory(weights, None, weight_rms=w_rms, data_rms=rms), rel=1e-12
             )
 
-    def test_fused_run_decides_clean_on_clean_data(self):
+    def test_clean_run_decides_clean_on_clean_data(self):
         p = repro.plan(720)
-        result = p._execute_fused(_data(720))
+        result = p.execute(_data(720))
         assert not result.report.uncorrectable
         assert not result.report.corrections
-        records = [r for r in result.report.verifications if r.site == "fused-ccv"]
-        assert records and not any(r.detected for r in records)
+        assert not result.report.detected
+        assert result.report.counters["verifications"] == 1
 
 
 class TestRouting:
@@ -198,10 +206,9 @@ class TestRouting:
         # so detection is guaranteed on the legacy path.
         n = 4096
         p = repro.plan(n)
-        assert p._fused_program is not None
         calls = []
-        original = p._execute_fused
-        p._execute_fused = lambda x: calls.append(1) or original(x)
+        original = p._kernel
+        p._kernel = lambda *args: calls.append(1) or original(*args)
         x = _data(n)
         injector = FaultInjector().arm_bitflip(
             FaultSite.STAGE1_INPUT, element=5, bit=60
@@ -212,14 +219,14 @@ class TestRouting:
         direct = get_program(n).execute(x.reshape(1, n)).reshape(n)
         assert np.allclose(result.output, direct, rtol=1e-8, atol=1e-8)
 
-    def test_fault_free_run_takes_the_fused_path(self):
+    def test_fault_free_run_takes_the_kernel(self):
         n = 720
         p = repro.plan(n)
         calls = []
-        original = p._execute_fused
-        p._execute_fused = lambda x: calls.append(1) or original(x)
+        original = p._kernel
+        p._kernel = lambda *args: calls.append(1) or original(*args)
         p.execute(_data(n))
-        assert calls, "fault-free execute must use the fused program"
+        assert calls, "fault-free execute must run the protected kernel"
         calls.clear()
         # a FaultInjector instance is always live, even with no specs armed
         p.execute(_data(n), FaultInjector())
@@ -250,21 +257,19 @@ class TestFusedRecovery:
 
         n = 720
         p = repro.plan(n)
-        prog = p._fused_program
-        assert prog is not None
         state = {"hits": 0}
         original = ProtectedStageProgram.execute_tapped
 
-        def corrupt_once(self, x):
+        def corrupt_once(self, x, *args, **kwargs):
             state["hits"] += 1
             if state["hits"] == 1:
-                x[13] += 1e6  # in-place: simulates memory corruption
-            return original(self, x)
+                x[..., 13] += 1e6  # in-place: simulates memory corruption
+            return original(self, x, *args, **kwargs)
 
         monkeypatch.setattr(ProtectedStageProgram, "execute_tapped", corrupt_once)
         x = _data(n)
         keep = x.copy()
-        result = p._execute_fused(x)
+        result = p.execute(x)
         kinds = [c.kind for c in result.report.corrections]
         assert "memory-correct" in kinds and "restart" in kinds
         assert not result.report.uncorrectable
@@ -280,20 +285,20 @@ class TestFusedRecovery:
         state = {"hits": 0}
         original = ProtectedStageProgram.execute_tapped
 
-        def corrupt_output_once(self, x):
-            out, rx = original(self, x)
+        def corrupt_output_once(self, x, *args, **kwargs):
+            out, rx = original(self, x, *args, **kwargs)
             state["hits"] += 1
             if state["hits"] == 1:
                 out = out.copy()
-                out[3] += 1e6  # computational fault in the transform
-                rx = complex(np.dot(self.r, out))
+                out[..., 3] += 1e6  # computational fault in the transform
+                rx = np.dot(out, self.r)
             return out, rx
 
         monkeypatch.setattr(
             ProtectedStageProgram, "execute_tapped", corrupt_output_once
         )
         x = _data(n)
-        result = p._execute_fused(x)
+        result = p.execute(x)
         assert state["hits"] == 2, "verification failure must trigger a re-run"
         assert not result.report.uncorrectable
         assert [c.kind for c in result.report.corrections] == ["restart"]
@@ -306,14 +311,14 @@ class TestFusedRecovery:
         p = repro.plan(n)
         original = ProtectedStageProgram.execute_tapped
 
-        def always_corrupt(self, x):
-            out, _ = original(self, x)
+        def always_corrupt(self, x, *args, **kwargs):
+            out, _ = original(self, x, *args, **kwargs)
             out = out.copy()
-            out[3] += 1e6
-            return out, complex(np.dot(self.r, out))
+            out[..., 3] += 1e6
+            return out, np.dot(out, self.r)
 
         monkeypatch.setattr(ProtectedStageProgram, "execute_tapped", always_corrupt)
-        result = p._execute_fused(_data(n))
+        result = p.execute(_data(n))
         assert result.report.uncorrectable
 
 
@@ -334,11 +339,11 @@ class TestFusedInverseRecovery:
         state = {"hits": 0}
         original = StageProgram.execute
 
-        def corrupt_input_once(self, x):
+        def corrupt_input_once(self, x, out=None):
             state["hits"] += 1
             if state["hits"] == 1:
-                x[13] += 1e6  # in-place: simulates memory corruption
-            return original(self, x)
+                x[..., 13] += 1e6  # in-place: simulates memory corruption
+            return original(self, x, out)
 
         monkeypatch.setattr(StageProgram, "execute", corrupt_input_once)
         result = p.inverse(X)
@@ -357,11 +362,11 @@ class TestFusedInverseRecovery:
         state = {"hits": 0}
         original = StageProgram.execute
 
-        def corrupt_output_once(self, x):
-            out = original(self, x)
+        def corrupt_output_once(self, x, out=None):
+            out = original(self, x, out)
             state["hits"] += 1
             if state["hits"] == 1:
-                out[3] += 1e6  # computational fault in the transform
+                out[..., 3] += 1e6  # computational fault in the transform
             return out
 
         monkeypatch.setattr(StageProgram, "execute", corrupt_output_once)
@@ -377,9 +382,9 @@ class TestFusedInverseRecovery:
         p = repro.plan(n)
         original = StageProgram.execute
 
-        def always_corrupt(self, x):
-            out = original(self, x)
-            out[3] += 1e6
+        def always_corrupt(self, x, out=None):
+            out = original(self, x, out)
+            out[..., 3] += 1e6
             return out
 
         monkeypatch.setattr(StageProgram, "execute", always_corrupt)
@@ -390,19 +395,17 @@ class TestFusedInverseRecovery:
     @pytest.mark.parametrize("n", [4096, 262144])
     def test_c_and_numpy_finishes_agree(self, n, monkeypatch):
         native = FTPlan(n)
-        assert native._fused_program.program.native is not None
+        assert native._tap.program.native is not None
         numpy_finish = FTPlan(n)
-        numpy_finish._fused_program = dataclasses.replace(
-            native._fused_program, program=StageProgram(n)
-        )
+        numpy_finish._tap = dataclasses.replace(native._tap, program=StageProgram(n))
         X = _data(n)
         for corrupt in (False, True):
             if corrupt:
                 original = StageProgram.execute
 
-                def always_corrupt(self, x):
-                    out = original(self, x)
-                    out[7] += 1e3
+                def always_corrupt(self, x, out=None):
+                    out = original(self, x, out)
+                    out[..., 7] += 1e3
                     return out
 
                 monkeypatch.setattr(StageProgram, "execute", always_corrupt)
@@ -444,13 +447,6 @@ class TestBatchAmortization:
         assert np.allclose(batch.output, singles, rtol=1e-9, atol=1e-9)
         assert not batch.report.uncorrectable
 
-    def test_component_sigma_rows_matches_private_helper(self):
-        pol = ThresholdPolicy()
-        rows = np.stack([_data(512, seed=s) for s in range(4)])
-        assert np.array_equal(
-            pol.component_sigma_rows(rows), pol._component_sigma_rows(rows)
-        )
-
 
 #: sizes of the coverage claim: 3 | n (720, 6144, 12288, 196608) and powers
 #: of two, with and without a radix-16 tail
@@ -467,10 +463,11 @@ def _boundaries(program):
 class _BumpAfter:
     """numpy as the executor module sees it, except that the ``boundary``-th
     ``matmul`` of the run (0 = the base kernel, then one per combine stage)
-    adds 1 to one element of row ``row`` of the state it writes, once."""
+    adds 1 to one element of row ``row`` of the state it writes, once.
+    ``skip`` matmuls pass untouched first (the transforms of earlier tiles)."""
 
-    def __init__(self, boundary, row, element):
-        self.boundary, self.row, self.element = boundary, row, element
+    def __init__(self, boundary, row, element, skip=0):
+        self.boundary, self.row, self.element = skip + boundary, row, element
         self.calls = 0
 
     def __getattr__(self, name):
@@ -504,7 +501,7 @@ class TestStageCoverage:
     def test_every_stage_boundary_has_nonzero_weight(self, n):
         # An error e in element k' of row b after the stage of span L moves
         # r . X by e * sum_t r[k' + t L] omega_count^(b t): a DFT over t.
-        prog = get_protected_program(n, optimized=True, memory_ft=True)
+        prog = _tap(n)
         program = get_program(n, native=False)
         assert program.stages, "the claim is about interior stage boundaries"
         for span, count in _boundaries(program):
@@ -518,11 +515,11 @@ class TestStageCoverage:
         self, n, numpy_lowering, monkeypatch
     ):
         p = FTPlan(n)
-        assert p._fused_program.program.native is None
+        assert p._tap.program.native is None
         rng = np.random.default_rng(n)
         x = _data(n, seed=n)
         clean = p.execute(x).output
-        for boundary in range(len(_boundaries(p._fused_program.program))):
+        for boundary in range(len(_boundaries(p._tap.program))):
             for _ in range(20):
                 bump = _BumpAfter(boundary, 0, int(rng.integers(0, n)))
                 monkeypatch.setattr(executor, "np", bump)
@@ -544,27 +541,36 @@ class TestStageCoverage:
         rng = np.random.default_rng(n + 1)
         X = np.stack([_data(n, seed=s) for s in range(2)])
         clean = p.execute_many(X).output
-        # the recovery re-runs the row under the full scheme: fewer trials
-        # at the sizes where that costs tens of milliseconds
+        # fewer trials at the sizes where a NumPy-bodied batch costs tens of
+        # milliseconds
         trials = 20 if n <= 12288 else 3
-        for boundary in range(len(_boundaries(p._batch_program))):
+        boundaries = len(_boundaries(p._program))
+        # rows of n > TILE_ELEMENTS run as one-row tiles: row 1 is then the
+        # first row of the second tile
+        tiled = 2 * n > TILE_ELEMENTS
+        for boundary in range(boundaries):
             for _ in range(trials):
-                bump = _BumpAfter(boundary, 1, int(rng.integers(0, n)))
+                bump = _BumpAfter(
+                    boundary,
+                    0 if tiled else 1,
+                    int(rng.integers(0, n)),
+                    skip=boundaries if tiled else 0,
+                )
                 monkeypatch.setattr(executor, "np", bump)
                 result = p.execute_many(X)
                 monkeypatch.undo()
                 assert result.fallback_rows == (1,), (n, boundary, bump.element)
-                assert "recompute" in [c.kind for c in result.report.corrections]
+                assert [c.kind for c in result.report.corrections] == ["restart"]
                 assert not result.uncorrectable
-                assert np.array_equal(result.output[0], clean[0])
-                assert np.allclose(result.output[1], clean[1], rtol=1e-9, atol=1e-9)
+                # the row is recomputed through the same program: bitwise clean
+                assert np.array_equal(result.output, clean)
 
 
 class TestLowering:
     def test_protected_plan_uses_numpy_bodies_without_the_native_tier(self, numpy_lowering):
         n = 4096
         p = FTPlan(n)
-        program = p._fused_program.program
+        program = p._tap.program
         assert program.native is None
         assert "REPRO_NO_NATIVE" in program.native_fallback_reason
         x = _data(n)

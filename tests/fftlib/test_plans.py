@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fftlib.executor import get_program
+from repro.fftlib.executor import clear_program_cache, get_program
 from repro.fftlib.plan import Plan, PlanDirection, estimate_flops
 from repro.fftlib.planner import Planner, get_default_planner, plan_fft
 from repro.fftlib.three_layer import ThreeLayerPlan
@@ -79,6 +79,25 @@ class TestPlanner:
     def test_default_planner_shared(self):
         assert get_default_planner() is get_default_planner()
         assert plan_fft(16) is plan_fft(16)
+
+    def test_export_never_resolves_a_lowering(self, monkeypatch):
+        """Plans below the native crossover never load the kernel library,
+        and exporting them does not either."""
+
+        import repro.fftlib.native as native
+
+        def refuse(program):
+            raise AssertionError("export_wisdom resolved a native lowering")
+
+        clear_program_cache()
+        monkeypatch.setattr(native, "build_native_program", refuse)
+        planner = Planner()
+        planner.plan(1024, inplace=True)
+        planner.plan(64)
+        data = planner.export_wisdom()
+        assert {"1024:forward:fftlib:ip", "64:forward:fftlib"} <= set(data)
+        monkeypatch.undo()
+        clear_program_cache()
 
 
 class TestWisdomImportValidation:

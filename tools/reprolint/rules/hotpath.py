@@ -42,8 +42,9 @@ WAIVER = "alloc-ok"
 #: ``_overwrite`` suffixes are hot in every listed file.
 HOT_FILES = {
     "src/repro/fftlib/executor.py": ("execute", "transform"),
-    # FTPlan's execute* entry points run the (allocating) protection
-    # machinery; only its transform fast paths are allocation-sensitive.
+    # FTPlan's entry points and kernel run the (allocating) protection
+    # bookkeeping; only the kernel's transform callables (_transform_*,
+    # around the tapped program) are allocation-sensitive.
     "src/repro/core/ftplan.py": ("transform",),
     # The fused protected program: execute_tapped (the plan's program plus
     # the r . X dot) and encode (the c . x dot) are the protected hot path.
