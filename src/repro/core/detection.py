@@ -191,7 +191,9 @@ class FTReport:
 
     def summary(self) -> Dict[str, int]:
         return {
-            "verifications": len(self.verifications),
+            # the counter, not len(verifications): the protected kernel
+            # counts its clean checks without recording them
+            "verifications": self.counters.get("verifications", 0),
             "detections": self.detection_count,
             "corrections": len(self.corrections),
             "recomputations": self.recompute_count,

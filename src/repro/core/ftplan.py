@@ -106,19 +106,19 @@ class BatchResult:
 class _Route(NamedTuple):
     """One direction of a plan through the kernel, fixed when it is built.
 
-    ``transform(tile, dest) -> (output, taps)`` writes into ``dest`` when it
-    can; ``encode(tile)`` gives the references of the checks at ``sites``
-    (end-to-end, then the real interior pair), ``retap(output)`` the
-    end-to-end tap alone; ``units`` are thresholds per unit sigma0 (one per
-    check, then the memory check's).  ``pair`` is the input's locating pair,
-    ``carried`` the surrogate weights and the output pair they locate over.
+    ``transform(tile) -> (output, taps)``; ``encode(tile)`` gives the
+    references of the checks at ``sites`` (end-to-end, then the real
+    interior pair), ``retap(output)`` the end-to-end tap alone;
+    ``thresholds(tile)`` one threshold per row and check, then the memory
+    check's.  ``pair`` is the input's locating pair, ``carried`` the
+    surrogate weights and the output pair they locate over.
     """
 
     transform: Callable[..., Tuple[np.ndarray, Tuple[Any, ...]]]
     encode: Any = None
     retap: Any = None
     sites: Tuple[str, ...] = ()
-    units: Any = None
+    thresholds: Any = None
     pair: Any = None
     carried: Any = None
     overwrites: bool = False
@@ -162,13 +162,13 @@ class FTPlan:
             from repro.fftlib.executor import get_program, get_stockham_program, stockham_supported
             from repro.fftlib.protected import BackendProgram, ProtectedStageProgram
 
+            self._program = BackendProgram(self._backend)
             if self.backend == "fftlib":
                 self._program = get_program(self.n)
                 if self._inplace and stockham_supported(self.n):
                     self._inplace_program = get_stockham_program(self.n)
             if self._protected:
-                program = self._program or BackendProgram(self._backend)
-                self._tap = ProtectedStageProgram.build(self.constants, program)
+                self._tap = ProtectedStageProgram.build(self.constants, self._program)
         #: the real forward's interior pair ``c_h . z = r_h . Z``: the fold
         #: alone leaves one error phase per bin unseen
         self._interior = self._real_program is not None and self.constants.c_h is not None
@@ -430,7 +430,7 @@ class FTPlan:
             sums: Tuple[Any, ...] = ()
             if self._protected:
                 refs = route.encode(rows)
-                etas = self.thresholds.tile_thresholds(rows, route.units)
+                etas = route.thresholds(rows)
                 if route.pair is not None:
                     w1, w2 = route.pair
                     sums = (refs[0] if w1 is self.constants.c_n else rows @ w1, rows @ w2)
@@ -445,8 +445,8 @@ class FTPlan:
                 index = base + np.arange(len(rows))
                 ok = self._repair(rows, index, route.pair, *sums[:2], etas[:, -1], report)
                 dead += index[~ok].tolist()
-            output, taps = route.transform(rows, dest)
-            if dest is not None and output is not dest:
+            output, taps = route.transform(rows)
+            if dest is not None and not np.may_share_memory(output, dest):
                 dest[...] = output
                 output = dest
             if live:
@@ -499,7 +499,7 @@ class FTPlan:
                         s1, s2, limit = sums[0][todo], sums[1][todo], etas[todo, -1]
                         kept = self._repair(work, base + todo, route.pair, s1, s2, limit, report)
                     if kept.any():
-                        output[todo[kept]], taps = route.transform(work[kept], None)
+                        output[todo[kept]], taps = route.transform(work[kept])
                     for row, inner in zip(base + todo[kept], interior[kept]):
                         site = route.sites[-1] if inner else route.sites[0]
                         detail = f"row {row} recomputed"
@@ -565,14 +565,15 @@ class FTPlan:
         memory = self.config.memory_ft
         if self._real and backward:
             # The check is c . x = r . X with the fold on the packed input;
-            # x's sigma0 is the spectrum's over sqrt(n) (Parseval).
-            units = [policy.offline_unit(self.n) / self.n**0.5]
+            # x's sigma0 comes from the spectrum's exact energy (Parseval).
+            units = [policy.offline_unit(self.n)]
             if memory:
                 units.append(policy.memory_unit(self.bins, consts.p1_h_rms))
             pair = (consts.p1_h, consts.p2_h) if memory else None
             encode = lambda tile: (self._fold(tile),)  # noqa: E731
             retap = partial(np.dot, b=consts.c_n)
-            return _Route(transform, encode, retap, ("fused-ccv",), np.array(units), pair)
+            etas = partial(policy.packed_thresholds, n=self.n, units=np.array(units))
+            return _Route(transform, encode, retap, ("fused-ccv",), etas, pair)
         sites: Tuple[str, ...] = ("fused-ccv",)
         units = [policy.offline_unit(self.n)]
         if self._interior:
@@ -592,7 +593,8 @@ class FTPlan:
         else:
             encode = lambda tile: (self._tap.encode(tile),)  # noqa: E731
             retap = partial(np.dot, b=consts.r_n)
-        return _Route(transform, encode, retap, sites, np.array(units), pair, carried, overwrite)
+        etas = partial(policy.tile_thresholds, units=np.array(units))
+        return _Route(transform, encode, retap, sites, etas, pair, carried, overwrite)
 
     def _overwrite_route(self) -> _Route:
         """The ``out=`` route, built on first use with the carried surrogate."""
@@ -602,11 +604,7 @@ class FTPlan:
         return self._overwrite
 
     def _transform_complex(
-        self,
-        tile: np.ndarray,
-        dest: Optional[np.ndarray],
-        backward: bool = False,
-        overwrite: bool = False,
+        self, tile: np.ndarray, backward: bool = False, overwrite: bool = False
     ) -> Tuple[np.ndarray, Tuple[Any, ...]]:
         """Complex rows through the tap around the plan's program or backend.
 
@@ -617,15 +615,12 @@ class FTPlan:
         if overwrite and self._inplace_program is not None:
             self._inplace_program.execute_inplace(tile)
             return tile, (tile @ self.constants.r_n,) if self._protected else ()
-        target = None if overwrite else dest
         taps: Tuple[Any, ...] = ()
         if self._tap is not None:
-            output, rx = self._tap.execute_tapped(tile, backward, out=target)
+            output, rx = self._tap.execute_tapped(tile, backward)
             taps = (rx,)
-        elif self._program is not None:
-            output = self._program.execute(tile, out=target)
         else:
-            output = self._backend.fft(tile, axis=-1)
+            output = self._program.execute(tile)
         if overwrite:
             tile[...] = output
             output = tile
@@ -634,7 +629,6 @@ class FTPlan:
     def _transform_rfft(
         self,
         tile: np.ndarray,
-        dest: Optional[np.ndarray],
         backward: bool = False,
         overwrite: bool = False,
         vector: bool = False,
@@ -649,7 +643,7 @@ class FTPlan:
         """
 
         if vector:
-            output, taps = self._transform_rfft(tile[0], None, backward, overwrite)
+            output, taps = self._transform_rfft(tile[0], backward, overwrite)
             return output[None], tuple(np.atleast_1d(tap) for tap in taps)
         program, protected = self._real_program, self._protected
         if backward:
@@ -669,7 +663,7 @@ class FTPlan:
             spectrum = program.stockham.execute_inplace(z)
         else:
             spectrum = program.transform_half(z)
-        output = program.disentangle(spectrum, out=dest)
+        output = program.disentangle(spectrum)
         return output, (self._fold(output), spectrum @ self.constants.r_h)
 
     def _encode_real(self, tile: np.ndarray) -> Tuple[Any, ...]:
@@ -736,10 +730,10 @@ class FTPlan:
 
         from repro.telemetry.profile import ProfileEntry, ProfileResult
 
-        program = self._protected and (self._real_program if self._real else self._program)
+        program = self._real_program if self._real else self._program
         entries: List[ProfileEntry] = []
         inner, label = 0.0, "execute"
-        if program:
+        if self._protected and hasattr(program, "profile"):
             data = np.asarray(x, dtype=np.float64 if self._real else np.complex128)
             profiled = program.profile(data)
             entries.extend(profiled.entries)
@@ -765,8 +759,8 @@ class FTPlan:
             if self._inplace_program is not None or self._real:
                 inplace = ", inplace"
         native = ""
-        program = self._real_program or self._inplace_program or self._program
-        if program is not None:
+        if self.backend == "fftlib":
+            program = self._real_program or self._inplace_program or self._program
             active, reason = _native_program_state(program)
             native = ", native" if active else f", native-fallback({reason or 'not lowered'})"
         return (

@@ -330,10 +330,35 @@ class ThresholdPolicy:
         (:meth:`offline_unit`, :meth:`memory_unit`), floored.
         """
 
-        sigma0 = self._component_sigma_rows(rows)
+        return self._scaled(self._component_sigma_rows(rows)[:, None], units)
+
+    def packed_thresholds(self, packed: np.ndarray, n: int, units: np.ndarray) -> np.ndarray:
+        """:meth:`tile_thresholds` of the packed spectra of real ``n``-point rows.
+
+        The first unit scales the real signal's ``sigma0``, the others the
+        bins' own.  Both come from the exact energy of the bins, not from a
+        sample: a spectrum can be as spiky as one tone's, whose energy sits
+        in the few bins a sampled robust scale drops as outliers.  By
+        Parseval the signal's ``sum x^2`` is ``(|X_0|^2 + 2 sum |X_k|^2 +
+        |X_(n/2)|^2) / n``, with no Nyquist bin for odd ``n``.
+        """
+
+        re, im = packed.real, packed.imag
+        energy = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+        edges = np.square(np.abs(packed[:, 0]))
+        if n % 2 == 0:
+            edges += np.square(np.abs(packed[:, -1]))
+        sigma0 = np.empty((len(packed), len(units)))
+        sigma0[:, :1] = np.sqrt((2.0 * energy - edges) * 0.5)[:, None] / n
+        sigma0[:, 1:] = np.sqrt(energy * (0.5 / packed.shape[1]))[:, None]
+        return self._scaled(sigma0, units)
+
+    def _scaled(self, sigma0: np.ndarray, units: np.ndarray) -> np.ndarray:
+        """``sigma0 * units``, floored (``sigma0`` per row, or per row and check)."""
+
         if self.mode is ThresholdMode.RELATIVE:
             sigma0 = np.maximum(sigma0, 1e-30)
-        return np.maximum(sigma0[:, None] * units, self.floor)
+        return np.maximum(sigma0 * units, self.floor)
 
     def _component_sigma_rows(self, rows: np.ndarray) -> np.ndarray:
         """Per-row :meth:`component_sigma` of a ``(rows, width)`` tile (robust, sampled).

@@ -248,13 +248,8 @@ class StageProgram:
                 self._native_pending = False
 
     # ------------------------------------------------------------------
-    def execute(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Forward DFT along the last axis of ``x`` (batched, out-of-place).
-
-        ``out``, a C-contiguous complex128 array of ``x``'s shape, receives
-        the result when given and is returned (a batch written tile by tile
-        needs no assembly copy).
-        """
+    def execute(self, x: np.ndarray) -> np.ndarray:
+        """Forward DFT along the last axis of ``x`` (batched, out-of-place)."""
 
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim == 0:
@@ -277,33 +272,25 @@ class StageProgram:
             # One foreign call per transform: generated C stage bodies, GIL
             # released for the call's duration (ctypes), result written into
             # the out-of-place contract's result array.
-            if out is None:
-                # reprolint: alloc-ok - the result array itself (out-of-place
-                # contract, same as the pure-NumPy final stage below)
-                result = np.empty((batch, n), dtype=np.complex128)
-            else:
-                result = out.reshape(batch, n)
+            # reprolint: alloc-ok - the result array itself (out-of-place
+            # contract, same as the pure-NumPy final stage below)
+            out = np.empty((batch, n), dtype=np.complex128)
             if self.stages:
                 work_a, work_b = _work_buffers(batch * n)
-                native.execute(xs, result, work_a, work_b)
+                native.execute(xs, out, work_a, work_b)
             else:
-                native.execute(xs, result, None, None)
-            return result.reshape(shape) if out is None else out
+                native.execute(xs, out, None, None)
+            return out.reshape(shape)
 
         if not self.stages:
             # Whole transform handled by the base kernel.
             if self.base_kind == "codelet":
-                result = apply_codelet(xs, n)
-            elif self.base_kind == "bluestein":
+                return apply_codelet(xs, n).reshape(shape)
+            if self.base_kind == "bluestein":
                 from repro.fftlib.bluestein import bluestein_fft
 
-                result = bluestein_fft(xs)
-            else:
-                result = np.matmul(xs, self.base_matrix)
-            if out is None:
-                return result.reshape(shape)
-            out.reshape(batch, n)[...] = result
-            return out
+                return bluestein_fft(xs).reshape(shape)
+            return np.matmul(xs, self.base_matrix).reshape(shape)
 
         work_a, work_b = _work_buffers(batch * n)
 
@@ -332,9 +319,7 @@ class StageProgram:
                 stage.twiddle[:, None, :],
                 out=grouped,
             )
-            if index == last and out is not None:
-                target = out.reshape(batch, count, r * p)
-            elif index == last:
+            if index == last:
                 # reprolint: alloc-ok - the result array itself (out-of-place
                 # contract); execute_into is the allocation-free variant
                 target = np.empty((batch, count, r * p), dtype=np.complex128)
@@ -348,7 +333,7 @@ class StageProgram:
                 out=target.reshape(batch, count, r, p).transpose(0, 1, 3, 2),
             )
             current = target
-        return current.reshape(shape) if out is None else out
+        return current.reshape(shape)
 
     # ------------------------------------------------------------------
     def profile(self, x: np.ndarray):
@@ -714,18 +699,16 @@ class RealStageProgram:
             return self.disentangle(z)
         return self.execute(x)
 
-    def disentangle(self, spectrum: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def disentangle(self, spectrum: np.ndarray) -> np.ndarray:
         """Packed ``n//2 + 1``-bin spectrum from the half-length transform.
 
         Disentangles on reversed-slice *views* (no index-array gathers):
         interior bins pair ``Z[k]`` with ``conj(Z[h-k])``; bins 0 and ``h``
-        both pair ``Z[0]`` with itself.  ``out``, when given, receives the
-        bins.
+        both pair ``Z[0]`` with itself.
         """
 
         h = self.half
-        if out is None:
-            out = np.empty(spectrum.shape[:-1] + (self.bins,), dtype=np.complex128)
+        out = np.empty(spectrum.shape[:-1] + (self.bins,), dtype=np.complex128)
         interior = out[..., 1:h]
         np.multiply(spectrum[..., 1:h], self._a[1:h], out=interior)
         interior += self._b[1:h] * np.conj(spectrum[..., h - 1 : 0 : -1])

@@ -74,6 +74,26 @@ class TestRealExecution:
         assert np.isrealobj(back.output)
         assert np.allclose(back.output, x, atol=1e-9)
 
+    @pytest.mark.parametrize("name", ["opt-online+mem", "opt-offline"])
+    @pytest.mark.parametrize("n", [4096, 2187])
+    def test_inverse_of_a_tone_is_clean(self, n, name):
+        # A tone's spectrum is two bins over roundoff: a sampled robust scale
+        # of the bins drops exactly those, and its threshold would flag the
+        # clean inverse.  The thresholds come from the bins' exact energy.
+        x = np.cos(2 * np.pi * 5 * np.arange(n) / n)
+        plan = repro.plan(n, name, real=True)
+        result = plan.inverse(np.fft.rfft(x))
+        assert result.report.clean
+        assert np.allclose(result.output, x, atol=1e-12)
+        # ... and a fault in that spectrum is still caught (and, with memory
+        # fault tolerance, repaired)
+        injector = bitflip(FaultSite.INPUT, element=5, bit=56)
+        result = plan.inverse(np.fft.rfft(x), injector)
+        assert injector.fired_count == 1 and result.report.detected
+        if plan.config.memory_ft:
+            assert not result.uncorrectable
+            assert np.allclose(result.output, x, atol=1e-9)
+
     def test_rejects_complex_input(self, rng):
         plan = repro.plan(64, real=True)
         with pytest.raises(ValueError):
@@ -204,8 +224,8 @@ class TestInteriorRealVerification:
                 out[..., 5] += self.magnitude
             return out
 
-        def disentangle(self, spectrum, out=None):
-            return self._inner.disentangle(spectrum, out)
+        def disentangle(self, spectrum):
+            return self._inner.disentangle(spectrum)
 
         def execute(self, x):
             return self._inner.execute(x)
@@ -271,8 +291,8 @@ class TestInteriorRealVerification:
             def transform_half(self, z):
                 return inner.transform_half(z)
 
-            def disentangle(self, spectrum, out=None):
-                return inner.disentangle(spectrum, out)
+            def disentangle(self, spectrum):
+                return inner.disentangle(spectrum)
 
             def execute(self, x):
                 return inner.execute(x)

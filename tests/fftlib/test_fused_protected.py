@@ -191,6 +191,25 @@ class TestThresholdEquivalence:
                 pol.eta_memory(weights, None, weight_rms=w_rms, data_rms=rms), rel=1e-12
             )
 
+    @pytest.mark.parametrize("mode", [ThresholdMode.PAPER, ThresholdMode.RELATIVE])
+    @pytest.mark.parametrize("n", [4096, 2187])
+    def test_packed_thresholds_are_the_exact_scalar_thresholds(self, mode, n):
+        pol = ThresholdPolicy(mode=mode)
+        bins, w_rms = n // 2 + 1, 1.5
+        units = np.array([pol.offline_unit(n), pol.memory_unit(bins, w_rms)])
+        signals = np.random.default_rng(3).standard_normal((3, n))
+        signals[1] = np.cos(2 * np.pi * 5 * np.arange(n) / n)  # a tone: two spiky bins
+        # reprolint: fft-ok - independent oracle for the packed spectra
+        packed = np.fft.rfft(signals, axis=-1)
+        etas = pol.packed_thresholds(packed, n, units)
+        for x, spectrum, (eta, eta_mem) in zip(signals, packed, etas):
+            # the signal's own exact sigma0, and the bins' exact magnitude RMS
+            sigma0 = np.sqrt(np.mean(x**2) / 2.0)
+            assert eta == pytest.approx(pol.eta_offline(n, None, sigma0=sigma0), rel=1e-10)
+            rms = np.sqrt(np.mean(np.abs(spectrum) ** 2))
+            expected = pol.eta_memory(np.ones(bins), None, weight_rms=w_rms, data_rms=rms)
+            assert eta_mem == pytest.approx(expected, rel=1e-10)
+
     def test_clean_run_decides_clean_on_clean_data(self):
         p = repro.plan(720)
         result = p.execute(_data(720))
@@ -198,6 +217,7 @@ class TestThresholdEquivalence:
         assert not result.report.corrections
         assert not result.report.detected
         assert result.report.counters["verifications"] == 1
+        assert result.report.summary()["verifications"] == 1
 
 
 class TestRouting:
@@ -339,11 +359,11 @@ class TestFusedInverseRecovery:
         state = {"hits": 0}
         original = StageProgram.execute
 
-        def corrupt_input_once(self, x, out=None):
+        def corrupt_input_once(self, x):
             state["hits"] += 1
             if state["hits"] == 1:
                 x[..., 13] += 1e6  # in-place: simulates memory corruption
-            return original(self, x, out)
+            return original(self, x)
 
         monkeypatch.setattr(StageProgram, "execute", corrupt_input_once)
         result = p.inverse(X)
@@ -362,8 +382,8 @@ class TestFusedInverseRecovery:
         state = {"hits": 0}
         original = StageProgram.execute
 
-        def corrupt_output_once(self, x, out=None):
-            out = original(self, x, out)
+        def corrupt_output_once(self, x):
+            out = original(self, x)
             state["hits"] += 1
             if state["hits"] == 1:
                 out[..., 3] += 1e6  # computational fault in the transform
@@ -382,8 +402,8 @@ class TestFusedInverseRecovery:
         p = repro.plan(n)
         original = StageProgram.execute
 
-        def always_corrupt(self, x, out=None):
-            out = original(self, x, out)
+        def always_corrupt(self, x):
+            out = original(self, x)
             out[..., 3] += 1e6
             return out
 
@@ -403,8 +423,8 @@ class TestFusedInverseRecovery:
             if corrupt:
                 original = StageProgram.execute
 
-                def always_corrupt(self, x, out=None):
-                    out = original(self, x, out)
+                def always_corrupt(self, x):
+                    out = original(self, x)
                     out[..., 7] += 1e3
                     return out
 
