@@ -106,12 +106,12 @@ class BatchResult:
 class _Route(NamedTuple):
     """One direction of a plan through the kernel, fixed when it is built.
 
-    ``transform(tile) -> (output, taps)``; ``encode(tile)`` gives the
-    references of the checks at ``sites`` (end-to-end, then the real
-    interior pair), ``retap(output)`` the end-to-end tap alone;
-    ``thresholds(tile)`` one threshold per row and check, then the memory
-    check's.  ``pair`` is the input's locating pair, ``carried`` the
-    surrogate weights and the output pair they locate over.
+    ``transform(tile, dest) -> (output, taps)`` may write into ``dest``;
+    ``encode(tile)`` gives the references of the checks at ``sites``
+    (end-to-end, then the real interior pair), ``retap(output)`` the
+    end-to-end tap alone, ``thresholds(tile)`` one threshold per row and
+    check, then the memory check's.  ``pair`` is the input's locating pair,
+    ``carried`` the surrogate weights and the output pair they locate over.
     """
 
     transform: Callable[..., Tuple[np.ndarray, Tuple[Any, ...]]]
@@ -397,13 +397,12 @@ class FTPlan:
         if dest is None:
             dest = np.empty((count, self.bins if self._real else self.n), dtype=np.complex128)
         tiles = -(-count // per)
-        flagged: List[int] = []
-        dead: List[int] = []
-        for i in range(tiles):
-            lo, hi = count * i // tiles, count * (i + 1) // tiles
-            part = self._kernel(route, rows[lo:hi], dest[lo:hi], injector, report, own, lo)
-            flagged, dead = flagged + part[1], dead + part[2]
-        return dest, flagged, dead
+        bounds = [count * i // tiles for i in range(tiles + 1)]
+        parts = [
+            self._kernel(route, rows[lo:hi], dest[lo:hi], injector, report, own, lo)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return dest, [r for p in parts for r in p[1]], [r for p in parts for r in p[2]]
 
     def _kernel(
         self,
@@ -445,7 +444,7 @@ class FTPlan:
                 index = base + np.arange(len(rows))
                 ok = self._repair(rows, index, route.pair, *sums[:2], etas[:, -1], report)
                 dead += index[~ok].tolist()
-            output, taps = route.transform(rows)
+            output, taps = route.transform(rows, dest)
             if dest is not None and not np.may_share_memory(output, dest):
                 dest[...] = output
                 output = dest
@@ -499,7 +498,7 @@ class FTPlan:
                         s1, s2, limit = sums[0][todo], sums[1][todo], etas[todo, -1]
                         kept = self._repair(work, base + todo, route.pair, s1, s2, limit, report)
                     if kept.any():
-                        output[todo[kept]], taps = route.transform(work[kept])
+                        output[todo[kept]], taps = route.transform(work[kept], None)
                     for row, inner in zip(base + todo[kept], interior[kept]):
                         site = route.sites[-1] if inner else route.sites[0]
                         detail = f"row {row} recomputed"
@@ -604,10 +603,15 @@ class FTPlan:
         return self._overwrite
 
     def _transform_complex(
-        self, tile: np.ndarray, backward: bool = False, overwrite: bool = False
+        self,
+        tile: np.ndarray,
+        dest: Optional[np.ndarray],
+        backward: bool = False,
+        overwrite: bool = False,
     ) -> Tuple[np.ndarray, Tuple[Any, ...]]:
         """Complex rows through the tap around the plan's program or backend.
 
+        The forward is written into ``dest`` when given (no assembly copy).
         ``overwrite`` replaces the rows by their spectra: in place where the
         plan lowered a Stockham program, else by a copy back.
         """
@@ -615,12 +619,13 @@ class FTPlan:
         if overwrite and self._inplace_program is not None:
             self._inplace_program.execute_inplace(tile)
             return tile, (tile @ self.constants.r_n,) if self._protected else ()
+        target = None if overwrite else dest
         taps: Tuple[Any, ...] = ()
         if self._tap is not None:
-            output, rx = self._tap.execute_tapped(tile, backward)
+            output, rx = self._tap.execute_tapped(tile, backward, out=target)
             taps = (rx,)
         else:
-            output = self._program.execute(tile)
+            output = self._program.execute(tile, out=target)
         if overwrite:
             tile[...] = output
             output = tile
@@ -629,6 +634,7 @@ class FTPlan:
     def _transform_rfft(
         self,
         tile: np.ndarray,
+        dest: Optional[np.ndarray],
         backward: bool = False,
         overwrite: bool = False,
         vector: bool = False,
@@ -638,12 +644,12 @@ class FTPlan:
         The compiled program of an even size also taps its half-length
         sub-transform (``r_h . Z``), which ``overwrite`` runs in place where
         it can.  ``backward`` maps packed spectra to real rows, tapped by
-        ``c . x``; ``vector`` runs a one-row tile through the programs' 1-D
-        path, whose last-bit rounding differs from the batched one's.
+        ``c . x``; ``vector`` runs a one-row tile through the 1-D path (its
+        last-bit rounding differs from a batch's); the kernel fills ``dest``.
         """
 
         if vector:
-            output, taps = self._transform_rfft(tile[0], backward, overwrite)
+            output, taps = self._transform_rfft(tile[0], None, backward, overwrite)
             return output[None], tuple(np.atleast_1d(tap) for tap in taps)
         program, protected = self._real_program, self._protected
         if backward:

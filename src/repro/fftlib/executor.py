@@ -248,8 +248,13 @@ class StageProgram:
                 self._native_pending = False
 
     # ------------------------------------------------------------------
-    def execute(self, x: np.ndarray) -> np.ndarray:
-        """Forward DFT along the last axis of ``x`` (batched, out-of-place)."""
+    def execute(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Forward DFT along the last axis of ``x`` (batched, out-of-place).
+
+        ``out``, a C-contiguous complex128 array of ``x``'s shape, receives
+        the result when given and is returned (a batch written tile by tile
+        needs no assembly copy).
+        """
 
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim == 0:
@@ -272,25 +277,33 @@ class StageProgram:
             # One foreign call per transform: generated C stage bodies, GIL
             # released for the call's duration (ctypes), result written into
             # the out-of-place contract's result array.
-            # reprolint: alloc-ok - the result array itself (out-of-place
-            # contract, same as the pure-NumPy final stage below)
-            out = np.empty((batch, n), dtype=np.complex128)
+            if out is None:
+                # reprolint: alloc-ok - the result array itself (out-of-place
+                # contract, same as the pure-NumPy final stage below)
+                result = np.empty((batch, n), dtype=np.complex128)
+            else:
+                result = out.reshape(batch, n)
             if self.stages:
                 work_a, work_b = _work_buffers(batch * n)
-                native.execute(xs, out, work_a, work_b)
+                native.execute(xs, result, work_a, work_b)
             else:
-                native.execute(xs, out, None, None)
-            return out.reshape(shape)
+                native.execute(xs, result, None, None)
+            return result.reshape(shape) if out is None else out
 
         if not self.stages:
             # Whole transform handled by the base kernel.
             if self.base_kind == "codelet":
-                return apply_codelet(xs, n).reshape(shape)
-            if self.base_kind == "bluestein":
+                result = apply_codelet(xs, n)
+            elif self.base_kind == "bluestein":
                 from repro.fftlib.bluestein import bluestein_fft
 
-                return bluestein_fft(xs).reshape(shape)
-            return np.matmul(xs, self.base_matrix).reshape(shape)
+                result = bluestein_fft(xs)
+            else:
+                result = np.matmul(xs, self.base_matrix)
+            if out is None:
+                return result.reshape(shape)
+            out.reshape(batch, n)[...] = result
+            return out
 
         work_a, work_b = _work_buffers(batch * n)
 
@@ -319,7 +332,9 @@ class StageProgram:
                 stage.twiddle[:, None, :],
                 out=grouped,
             )
-            if index == last:
+            if index == last and out is not None:
+                target = out.reshape(batch, count, r * p)
+            elif index == last:
                 # reprolint: alloc-ok - the result array itself (out-of-place
                 # contract); execute_into is the allocation-free variant
                 target = np.empty((batch, count, r * p), dtype=np.complex128)
@@ -333,7 +348,7 @@ class StageProgram:
                 out=target.reshape(batch, count, r, p).transpose(0, 1, 3, 2),
             )
             current = target
-        return current.reshape(shape)
+        return current.reshape(shape) if out is None else out
 
     # ------------------------------------------------------------------
     def profile(self, x: np.ndarray):

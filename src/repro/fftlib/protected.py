@@ -42,7 +42,7 @@ scaled copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
@@ -69,10 +69,14 @@ class BackendProgram:
     def __init__(self, backend: Any) -> None:
         self.backend = backend
 
-    def execute(self, x: np.ndarray) -> np.ndarray:
-        """Forward DFT along the last axis."""
+    def execute(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Forward DFT along the last axis, copied into ``out`` when given."""
 
-        return self.backend.fft(x, axis=-1)
+        y = self.backend.fft(x, axis=-1)
+        if out is None:
+            return y
+        out[...] = y
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +138,19 @@ class ProtectedStageProgram:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.dot(x, self.c)
 
-    def execute_tapped(self, x: np.ndarray, backward: bool = False) -> Tuple[np.ndarray, Any]:
+    def execute_tapped(
+        self, x: np.ndarray, backward: bool = False, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Any]:
         """Forward DFT of ``x`` plus its output checksum ``r . X``.
 
         ``x`` is one vector or a ``(rows, n)`` tile, whose checksum is one
-        value per row.  With ``backward`` the output is the inverse DFT of
-        ``x`` instead, ``F(x)`` reversed and scaled by ``1/n``, and the
-        checksum is still the forward program's ``r . F(x)``: the one
-        :meth:`encode` predicts.
+        value per row; ``out``, when given, receives the forward result.
+        With ``backward`` the output is the inverse DFT of ``x`` instead,
+        ``F(x)`` reversed and scaled by ``1/n``, and the checksum is still
+        the forward program's ``r . F(x)``: the one :meth:`encode` predicts.
         """
 
-        y = self.program.execute(x)
+        y = self.program.execute(x, out=None if backward else out)
         if not backward:
             with np.errstate(over="ignore", invalid="ignore"):
                 return y, np.dot(y, self.r)

@@ -33,8 +33,8 @@ class _Corrupt:
         self.runs = 0
         original = StageProgram.execute
 
-        def execute(program, x):
-            y = original(program, x)
+        def execute(program, x, out=None):
+            y = original(program, x, out)
             rows = zip(np.asarray(x).reshape(-1, program.n), y.reshape(-1, program.n))
             for data, spectrum in rows:
                 if np.array_equal(data, target):

@@ -359,11 +359,11 @@ class TestFusedInverseRecovery:
         state = {"hits": 0}
         original = StageProgram.execute
 
-        def corrupt_input_once(self, x):
+        def corrupt_input_once(self, x, out=None):
             state["hits"] += 1
             if state["hits"] == 1:
                 x[..., 13] += 1e6  # in-place: simulates memory corruption
-            return original(self, x)
+            return original(self, x, out)
 
         monkeypatch.setattr(StageProgram, "execute", corrupt_input_once)
         result = p.inverse(X)
@@ -382,8 +382,8 @@ class TestFusedInverseRecovery:
         state = {"hits": 0}
         original = StageProgram.execute
 
-        def corrupt_output_once(self, x):
-            out = original(self, x)
+        def corrupt_output_once(self, x, out=None):
+            out = original(self, x, out)
             state["hits"] += 1
             if state["hits"] == 1:
                 out[..., 3] += 1e6  # computational fault in the transform
@@ -402,8 +402,8 @@ class TestFusedInverseRecovery:
         p = repro.plan(n)
         original = StageProgram.execute
 
-        def always_corrupt(self, x):
-            out = original(self, x)
+        def always_corrupt(self, x, out=None):
+            out = original(self, x, out)
             out[..., 3] += 1e6
             return out
 
@@ -423,8 +423,8 @@ class TestFusedInverseRecovery:
             if corrupt:
                 original = StageProgram.execute
 
-                def always_corrupt(self, x):
-                    out = original(self, x)
+                def always_corrupt(self, x, out=None):
+                    out = original(self, x, out)
                     out[..., 7] += 1e3
                     return out
 
