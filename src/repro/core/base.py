@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.faults.injector import FaultInjector, NullInjector
 from repro.faults.models import FaultSite
 from repro.utils.validation import as_complex_vector, ensure_positive_int
 
-__all__ = ["OptimizationFlags", "SchemeResult", "FTScheme"]
+__all__ = ["BatchResult", "OptimizationFlags", "SchemeResult", "FTScheme"]
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,33 @@ class SchemeResult:
     output: np.ndarray
     report: FTReport
     scheme: str = ""
+
+    @property
+    def detected(self) -> bool:
+        return self.report.detected
+
+    @property
+    def corrected(self) -> bool:
+        return self.report.corrected
+
+    @property
+    def uncorrectable(self) -> bool:
+        return self.report.has_uncorrectable
+
+
+@dataclass
+class BatchResult:
+    """Output of one batched protected execution (``FTPlan.execute_many``)."""
+
+    output: np.ndarray
+    report: FTReport
+    #: flat indices (into the flattened batch) of rows that failed their
+    #: first verification: recovered, or listed in ``uncorrectable_rows``
+    fallback_rows: Tuple[int, ...] = ()
+    #: flat indices of rows whose recovery ultimately failed; per-row
+    #: consumers (the serving batcher) read this instead of parsing the
+    #: report's free-text ``uncorrectable`` messages
+    uncorrectable_rows: Tuple[int, ...] = ()
 
     @property
     def detected(self) -> bool:

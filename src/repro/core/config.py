@@ -23,7 +23,7 @@ configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, fields, replace as _dc_replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -175,6 +175,19 @@ class FTConfig:
             raise TypeError("flags must be OptimizationFlags (or None)")
         object.__setattr__(self, "real", bool(self.real))
         object.__setattr__(self, "inplace", bool(self.inplace))
+
+    def __hash__(self) -> int:
+        # plan() hashes its cache key on every hit; the fields are frozen,
+        # so they are hashed once (the tuple the generated __hash__ hashes).
+        cached: Optional[int] = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # str hashes differ between processes: a copy hashes itself afresh
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     # ------------------------------------------------------------------
     # legacy-name conversions

@@ -19,12 +19,13 @@ True
 protected kernel, the paper's offline scheme (Algorithm 1) over a tile of
 rows: (1) encode ``c . x`` per row - with memory fault tolerance also the
 locating pair ``w1 . x``, ``w2 . x``, and the carried surrogate ``(F w) . x``
-when the transform overwrites its input - plus one threshold call; (2) visit
-the INPUT fault site; (3) run the transform callable and its tap ``r . X``;
-(4) visit the OUTPUT fault site; (5) check every row; (6) recover the
-flagged rows in one retry loop of at most ``max_retries`` recoveries: while
-the input survives, repair a located corruption of it and recompute, once
-it is overwritten, repair the output from the carried surrogate.
+when the transform overwrites its input - and each row's exact norm, which
+scales every threshold; (2) visit the INPUT fault site; (3) run the
+transform callable and its tap ``r . X``; (4) visit the OUTPUT fault site;
+(5) check every row; (6) recover the flagged rows in one retry loop of at
+most ``max_retries`` recoveries: while the input survives, repair a located
+corruption of it and recompute, once it is overwritten, repair the output
+from the carried surrogate.
 
 ``execute``, ``inverse`` and ``execute_many``, with their ``out=`` and real
 forms, are that kernel at different tile counts, around a transform
@@ -40,13 +41,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import SchemeResult
+from repro.core.base import BatchResult, SchemeResult
 from repro.core.checksums import halfcomplex_sum, repair_single_error
 from repro.core.config import FTConfig
 from repro.core.constants import SchemeConstants
@@ -54,9 +54,9 @@ from repro.core.detection import FTReport
 from repro.core.thresholds import ThresholdPolicy, residual_exceeds
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
-from repro.fftlib.backends import get_backend, resolve_backend_name
+from repro.fftlib.backends import default_backend_name, get_backend, resolve_backend_name
 from repro.telemetry import trace as _trace
-from repro.utils.validation import as_complex_vector, ensure_positive_int
+from repro.utils.validation import as_complex_vector, as_real_array, ensure_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily by profile()
     from repro.telemetry.profile import ProfileResult
@@ -76,49 +76,24 @@ __all__ = [
 TILE_ELEMENTS = 1 << 15
 
 
-@dataclass
-class BatchResult:
-    """Output of one batched protected execution (see ``execute_many``)."""
-
-    output: np.ndarray
-    report: FTReport
-    #: flat indices (into the flattened batch) of rows that failed their
-    #: first verification and went through recovery
-    fallback_rows: Tuple[int, ...] = ()
-    #: flat indices of rows whose recovery ultimately failed; per-row
-    #: consumers (the serving batcher) read this instead of parsing the
-    #: report's free-text ``uncorrectable`` messages
-    uncorrectable_rows: Tuple[int, ...] = ()
-
-    @property
-    def detected(self) -> bool:
-        return self.report.detected
-
-    @property
-    def corrected(self) -> bool:
-        return self.report.corrected
-
-    @property
-    def uncorrectable(self) -> bool:
-        return self.report.has_uncorrectable
-
-
 class _Route(NamedTuple):
     """One direction of a plan through the kernel, fixed when it is built.
 
-    ``transform(tile, dest) -> (output, taps)`` may write into ``dest``;
-    ``encode(tile)`` gives the references of the checks at ``sites``
-    (end-to-end, then the real interior pair), ``retap(output)`` the
-    end-to-end tap alone, ``thresholds(tile)`` one threshold per row and
-    check, then the memory check's.  ``pair`` is the input's locating pair,
-    ``carried`` the surrogate weights and the output pair they locate over.
+    ``transform(tile, dest) -> (output, taps)`` may write into ``dest``.
+    ``taps`` and the references ``encode(tile)`` hold one row per check at
+    ``sites`` (end-to-end, then the real interior pair), one column per tile
+    row; ``retap(output)`` is the end-to-end tap alone.  ``units`` scale a
+    row's exact sigma0 into one threshold per check, then the memory check's
+    (from a packed real spectrum when ``packed``).  ``pair`` is the input's
+    locating pair, ``carried`` the surrogate weights and their output pair.
     """
 
-    transform: Callable[..., Tuple[np.ndarray, Tuple[Any, ...]]]
+    transform: Callable[..., Tuple[np.ndarray, Any]]
     encode: Any = None
     retap: Any = None
     sites: Tuple[str, ...] = ()
-    thresholds: Any = None
+    units: Any = None
+    packed: bool = False
     pair: Any = None
     carried: Any = None
     overwrites: bool = False
@@ -144,6 +119,8 @@ class FTPlan:
         self.constants = SchemeConstants.for_config(self.n, config)
         self.scheme = config.build(self.n, constants=self.constants)
         self.dtype = np.dtype(config.dtype)
+        self._name = self.scheme.name
+        self._policy: ThresholdPolicy = self.scheme.thresholds
         self._protected = config.kind != "plain"
         #: real-input mode: float64 input, packed n//2 + 1 output layout
         self._real = bool(config.real)
@@ -169,8 +146,8 @@ class FTPlan:
                     self._inplace_program = get_stockham_program(self.n)
             if self._protected:
                 self._tap = ProtectedStageProgram.build(self.constants, self._program)
-        #: the real forward's interior pair ``c_h . z = r_h . Z``: the fold
-        #: alone leaves one error phase per bin unseen
+        #: the real forward's interior pair ``c_h . z = r_h . Z`` (the fold
+        #: alone leaves one error phase per bin unseen)
         self._interior = self._real_program is not None and self.constants.c_h is not None
         # Recovery budget: explicit flags win, else the built scheme's own.
         if config.flags is not None:
@@ -179,9 +156,12 @@ class FTPlan:
             self._max_retries = int(self.scheme.flags.max_retries)
         else:
             self._max_retries = int(getattr(self.scheme, "max_retries", 2))
+        self._routes: Dict[Tuple[bool, bool, bool], _Route] = {}
         self._forward = self._route()
-        self._backward = self._route(backward=True)
-        self._overwrite: Optional[_Route] = None
+        # single real vectors run the real programs' 1-D path (a batch row
+        # differs in the last bit); a complex vector is a one-row tile
+        self._forward_one = self._route(vector=self._real)
+        self._backward_one = self._route(backward=True, vector=self._real)
 
     # ------------------------------------------------------------------
     @property
@@ -228,14 +208,14 @@ class FTPlan:
 
         if out is not None:
             return self._execute_out(x, injector, out)
-        live = injector is not None and injector.is_live
-        if self._real and live:
-            return self._cast_result(self.scheme.execute(self._as_real(x), injector))
+        if injector is not None and injector.is_live:
+            data = as_real_array(x) if self._real else x
+            return self._cast_result(self.scheme.execute(data, injector))
         if self._real:
-            return self._single(self._forward, self._as_real(x), None)
-        if live or not self._protected:
+            return self._single(self._forward_one, as_real_array(x), None)
+        if not self._protected:
             return self._cast_result(self.scheme.execute(x, injector))
-        return self._single(self._forward, as_complex_vector(x, name="x"), None)
+        return self._single(self._forward_one, as_complex_vector(x, name="x"), None)
 
     __call__ = execute
 
@@ -255,14 +235,12 @@ class FTPlan:
 
         if self._real:
             packed = np.asarray(spectrum, dtype=np.complex128)
-            return self._single(self._backward, packed, injector)
+            return self._single(self._backward_one, packed, injector)
         if self._protected and (injector is None or not injector.is_live):
-            return self._single(self._backward, as_complex_vector(spectrum, name="X"), None)
+            return self._single(self._backward_one, as_complex_vector(spectrum, name="X"), None)
         result = self.scheme.execute(np.conj(spectrum, dtype=np.complex128), injector)
-        # conj(X) / n in place on the transform's own (fresh, contiguous
-        # complex128) result, through its float64 view: scale, then negate
-        # the imaginary parts.  Multiplying by 1/n is what numpy's complex
-        # division by a real n computes, so the values are the same.
+        # conj(X) / n in place through the fresh result's float64 view
+        # (multiplying by 1/n is what numpy's division by a real n computes)
         parts = result.output.view(np.float64)
         parts *= 1.0 / self.n
         np.negative(parts[1::2], out=parts[1::2])
@@ -292,18 +270,20 @@ class FTPlan:
             raise ValueError("execute_many expects at least a 1-D array")
         width = self.bins if self._real else self.n
         overwrite = out is not None and not self._real
-        if out is not None:
-            # Validate the destination before paying for the protected batch.
+        if out is not None:  # validated before paying for the protected batch
             shape = list(X.shape)
             shape[axis] = width
             out = self._check_out(out, tuple(shape))
             if overwrite and out is not X:
                 np.copyto(out, np.asarray(X, dtype=np.complex128))
-        moved = np.moveaxis(out if overwrite else X, axis, -1)
+        source = out if overwrite else X
+        # rows along the last axis need no moveaxis round trip
+        last = axis == -1 or axis == source.ndim - 1
+        moved = source if last else np.moveaxis(source, axis, -1)
         if moved.shape[-1] != self.n:
             raise ValueError(f"axis {axis} has length {moved.shape[-1]}, expected {self.n}")
         if self._real:
-            rows = self._as_real(moved, name="X").reshape(-1, self.n)
+            rows = as_real_array(moved, name="X").reshape(-1, self.n)
         else:
             rows = moved.astype(np.complex128, copy=False).reshape(-1, self.n)
         # Non-last-axis layouts overwrite a private contiguous matrix whose
@@ -311,12 +291,14 @@ class FTPlan:
         scatter = overwrite and not (np.shares_memory(rows, out) and rows.flags.c_contiguous)
         if scatter:
             rows = np.ascontiguousarray(rows)
-        report = FTReport(scheme=f"{self.scheme.name}[batch{',inplace' if overwrite else ''}]")
-        route = self._overwrite_route() if overwrite else self._forward
+        report = FTReport(scheme=self._name + ("[batch,inplace]" if overwrite else "[batch]"))
+        route = self._route(overwrite=True) if overwrite else self._forward
         output, fallback, dead = self._protect(
             route, rows, rows if overwrite else None, injector, report, overwrite
         )
-        result = np.moveaxis(output.reshape(moved.shape[:-1] + (width,)), -1, axis)
+        result = output.reshape(moved.shape[:-1] + (width,))
+        if not last:
+            result = np.moveaxis(result, -1, axis)
         if scatter:
             moved[...] = output.reshape(moved.shape)
         if out is not None:
@@ -347,8 +329,8 @@ class FTPlan:
             out = self._check_out(out, (self.bins,))
             # Only a directly consumable buffer is overwritten, else a copy.
             if not (x.dtype == np.float64 and x.flags.c_contiguous and x.flags.writeable):
-                x = np.array(self._as_real(x))
-        result = self._single(self._overwrite_route(), x, injector, out, "[inplace]")
+                x = np.array(as_real_array(x))
+        result = self._single(self._route(overwrite=True, vector=self._real), x, injector, out)
         result.output = out
         return result
 
@@ -358,20 +340,17 @@ class FTPlan:
         vector: np.ndarray,
         injector: Optional[FaultInjector],
         dest: Optional[np.ndarray] = None,
-        suffix: str = "",
     ) -> SchemeResult:
-        """One vector through the kernel, as a :class:`SchemeResult`."""
+        """One vector through the kernel as a :class:`SchemeResult` (``dest``: ``out=``)."""
 
-        width = self.bins if self._real and route is self._backward else self.n
+        width = self.bins if route is self._backward_one and self._real else self.n
         if vector.shape != (width,):
             raise ValueError(f"input has shape {vector.shape}, expected ({width},)")
         own = dest is not None
-        dest = None if dest is None else dest.reshape(1, -1)
-        if self._real:  # the real programs' 1-D path: a batch row differs in the last bit
-            route = route._replace(transform=partial(route.transform, vector=True))
-        report = FTReport(scheme=self.scheme.name + suffix)
-        output = self._kernel(route, vector.reshape(1, width), dest, injector, report, own, 0)[0]
-        result = SchemeResult(output=output[0], report=report, scheme=self.scheme.name)
+        report = FTReport(scheme=self._name + "[inplace]" if own else self._name)
+        tile = None if dest is None else dest.reshape(1, -1)
+        output = self._kernel(route, vector.reshape(1, width), tile, injector, report, own, 0)[0]
+        result = SchemeResult(output[0], report, self._name)
         return result if own else self._cast_result(result)
 
     def _protect(
@@ -386,8 +365,8 @@ class FTPlan:
         """Run ``rows`` through the kernel in even tiles of at most ``TILE_ELEMENTS``.
 
         Each tile of a multi-tile batch then crosses the native-kernel size
-        exactly when the whole batch does.  A live injector gets one tile:
-        its element indices address the batch.
+        exactly when the whole batch does.  A live injector gets one tile: its
+        element indices address the batch.
         """
 
         count = len(rows)
@@ -417,9 +396,11 @@ class FTPlan:
         """Algorithm 1 over one tile of ``rows`` (the module docstring's steps).
 
         With ``own`` a live injector strikes ``rows`` in place, else a copy;
-        ``dest`` receives the output; ``base`` is the tile's first row.
-        Returns the output and the batch indices of the rows the first check
-        flagged and of those left uncorrectable.
+        ``dest`` receives the output; ``base`` is the tile's first row.  A
+        row whose norm is NaN holds a NaN or an infinity: no threshold bounds
+        it, so it is reported uncorrectable after one transform.  Returns the
+        output and the batch indices of the rows the first check flagged and
+        of those left uncorrectable.
         """
 
         live = injector is not None and injector.is_live
@@ -429,13 +410,15 @@ class FTPlan:
             sums: Tuple[Any, ...] = ()
             if self._protected:
                 refs = route.encode(rows)
-                etas = route.thresholds(rows)
+                if route.packed:
+                    etas = self._policy.packed_thresholds(rows, self.n, route.units)
+                else:
+                    etas = self._policy.tile_thresholds(rows, route.units)
                 if route.pair is not None:
                     w1, w2 = route.pair
                     sums = (refs[0] if w1 is self.constants.c_n else rows @ w1, rows @ w2)
                     if route.carried is not None:
                         sums += (rows @ route.carried[0], rows @ route.carried[1])
-                report.bump("checksum-generations", len(rows))
             if live:
                 injector.visit(FaultSite.INPUT, rows)
             dead: List[int] = []
@@ -450,17 +433,19 @@ class FTPlan:
                 output = dest
             if live:
                 injector.visit(FaultSite.OUTPUT, output)
-                taps = (route.retap(output),) + taps[1:] if self._protected else taps
+                if self._protected:
+                    taps[0] = route.retap(output)
             if not self._protected:
                 return output, [], []
             flagged: List[int] = []
             # Overwritten input and no surrogate to repair from: detect only.
             retries = self._max_retries if sums or not route.overwrites else 0
+            checks = len(refs)
             for attempt in range(retries + 1):
                 # Check every row; each check counts once in verifications.
-                expected = refs if attempt == 0 else [ref[todo] for ref in refs]
-                residuals = np.abs(np.subtract(taps, expected))
-                limits = (etas if attempt == 0 else etas[todo])[:, : len(refs)].T
+                expected = refs if attempt == 0 else refs[:, todo]
+                residuals = np.abs(taps - expected)
+                limits = (etas if attempt == 0 else etas[todo])[:, :checks].T
                 bad = ~(residuals <= limits)  # a NaN residual is a violation
                 if not bad.any():
                     report.bump("verifications", bad.size)
@@ -473,10 +458,16 @@ class FTPlan:
                 if bad.size > len(violations):
                     report.bump("verifications", bad.size - len(violations))
                 failing = bad.any(axis=0)
-                todo, interior = todo[failing], bad[-1, failing]
-                taps = tuple(tap[failing] for tap in taps)
+                todo, interior, taps = todo[failing], bad[-1, failing], taps[:, failing]
                 if attempt == 0:
-                    flagged = (base + todo).tolist()
+                    # A non-finite row would fail a recompute the same way.
+                    flagged, lost = (base + todo).tolist(), np.isnan(etas[todo, 0])
+                    for row in base + todo[lost]:
+                        report.record_uncorrectable(f"row {row}: non-finite input")
+                    dead += (base + todo[lost]).tolist()
+                    todo, interior, taps = todo[~lost], interior[~lost], taps[:, ~lost]
+                    if not todo.size:
+                        break
                 if attempt == retries:
                     for row in base + todo:
                         report.record_uncorrectable(f"row {row}: failed {attempt} recoveries")
@@ -484,11 +475,11 @@ class FTPlan:
                     break
                 if route.overwrites:
                     # The input is gone: repair the output from the surrogate.
-                    work = output[todo]
-                    S1, S2 = sums[2][todo], sums[3][todo]
+                    work, S1, S2 = output[todo], sums[2][todo], sums[3][todo]
                     kept = self._repair(work, base + todo, route.carried[2:], S1, S2, None, report)
                     output[todo] = work
-                    taps = (route.retap(work[kept]),) + tuple(t[kept] for t in taps[1:])
+                    taps = taps[:, kept]
+                    taps[0] = route.retap(work[kept])
                 else:
                     # The input survives: repair a located corruption of it,
                     # then recompute through the same transform.
@@ -523,7 +514,8 @@ class FTPlan:
 
         ``s1``, ``s2`` are the locating ``pair``'s sums from before the
         corruption: the input's own, repaired where its memory check against
-        ``limits`` fails, or (``limits`` ``None``) an overwritten output's
+        ``limits`` fails (a NaN limit marks non-finite input, left to the
+        end-to-end check), or (``limits`` ``None``) an overwritten output's
         carried surrogate.  Returns the mask of rows clean or repaired.
         """
 
@@ -532,7 +524,7 @@ class FTPlan:
         if limits is not None:
             residuals = np.abs(data @ pair[0] - s1)
             report.bump("memory-verifications", len(data))
-            suspects = np.flatnonzero(residual_exceeds(residuals, limits))
+            suspects = np.flatnonzero(residual_exceeds(residuals, limits) & ~np.isnan(limits))
         ok = np.ones(len(data), dtype=bool)
         for j in suspects:
             row = int(rows[j])
@@ -550,31 +542,44 @@ class FTPlan:
     # ------------------------------------------------------------------
     # routes and transform callables
     # ------------------------------------------------------------------
-    def _route(self, backward: bool = False, overwrite: bool = False) -> _Route:
-        """One direction's route: its transform callable, encode and checks."""
+    def _route(
+        self, backward: bool = False, overwrite: bool = False, vector: bool = False
+    ) -> _Route:
+        """One direction's route, built on first use: transform, encode and checks.
 
-        complex_ = self._transform_complex
-        transform = partial(self._transform_rfft if self._real else complex_, backward=backward)
-        if overwrite:
-            transform = partial(transform, overwrite=True)
+        ``vector`` runs a real one-row tile through the real programs' 1-D
+        path; ``overwrite`` is the ``out=`` route, with the carried surrogate.
+        """
+
+        key = (backward, overwrite, vector)
+        if key in self._routes:
+            return self._routes[key]
+        transform: Any = self._transform_complex
+        if self._real:
+            transform = partial(
+                self._transform_rfft, backward=backward, overwrite=overwrite, vector=vector
+            )
+        elif backward or overwrite:
+            transform = partial(transform, backward=backward, overwrite=overwrite)
+        return self._routes.setdefault(key, self._checks(transform, backward, overwrite))
+
+    def _checks(self, transform: Any, backward: bool, overwrite: bool) -> _Route:
+        """The route of one direction around ``transform``: its checks, if protected."""
+
         if not self._protected:
             return _Route(transform, overwrites=overwrite)
         consts = self._inplace_constants() if overwrite else self.constants
-        policy = self.thresholds
-        memory = self.config.memory_ft
+        policy, memory = self._policy, self.config.memory_ft
+        sites: Tuple[str, ...] = ("fused-ccv",)
+        units = [policy.offline_unit(self.n)]
         if self._real and backward:
             # The check is c . x = r . X with the fold on the packed input;
             # x's sigma0 comes from the spectrum's exact energy (Parseval).
-            units = [policy.offline_unit(self.n)]
-            if memory:
-                units.append(policy.memory_unit(self.bins, consts.p1_h_rms))
+            units += [policy.memory_unit(self.bins, consts.p1_h_rms)] if memory else []
             pair = (consts.p1_h, consts.p2_h) if memory else None
-            encode = lambda tile: (self._fold(tile),)  # noqa: E731
+            encode = lambda tile: self._fold(tile)[None]  # noqa: E731
             retap = partial(np.dot, b=consts.c_n)
-            etas = partial(policy.packed_thresholds, n=self.n, units=np.array(units))
-            return _Route(transform, encode, retap, ("fused-ccv",), etas, pair)
-        sites: Tuple[str, ...] = ("fused-ccv",)
-        units = [policy.offline_unit(self.n)]
+            return _Route(transform, encode, retap, sites, np.array(units), True, pair)
         if self._interior:
             # the packed view z of real samples x has sigma0(z) = sqrt(2) sigma0(x)
             sites += ("real-interior-ccv",)
@@ -590,17 +595,11 @@ class FTPlan:
         if self._real:
             encode, retap = self._encode_real, self._fold
         else:
-            encode = lambda tile: (self._tap.encode(tile),)  # noqa: E731
+            encode = lambda tile: self._tap.encode(tile)[None]  # noqa: E731
             retap = partial(np.dot, b=consts.r_n)
-        etas = partial(policy.tile_thresholds, units=np.array(units))
-        return _Route(transform, encode, retap, sites, etas, pair, carried, overwrite)
-
-    def _overwrite_route(self) -> _Route:
-        """The ``out=`` route, built on first use with the carried surrogate."""
-
-        if self._overwrite is None:
-            self._overwrite = self._route(overwrite=True)
-        return self._overwrite
+        return _Route(
+            transform, encode, retap, sites, np.array(units), False, pair, carried, overwrite
+        )
 
     def _transform_complex(
         self,
@@ -608,7 +607,7 @@ class FTPlan:
         dest: Optional[np.ndarray],
         backward: bool = False,
         overwrite: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[Any, ...]]:
+    ) -> Tuple[np.ndarray, Any]:
         """Complex rows through the tap around the plan's program or backend.
 
         The forward is written into ``dest`` when given (no assembly copy).
@@ -618,12 +617,12 @@ class FTPlan:
 
         if overwrite and self._inplace_program is not None:
             self._inplace_program.execute_inplace(tile)
-            return tile, (tile @ self.constants.r_n,) if self._protected else ()
+            return tile, (tile @ self.constants.r_n)[None] if self._protected else None
         target = None if overwrite else dest
-        taps: Tuple[Any, ...] = ()
+        taps = None
         if self._tap is not None:
-            output, rx = self._tap.execute_tapped(tile, backward, out=target)
-            taps = (rx,)
+            output, rx = self._tap.execute_tapped(tile, backward, target)
+            taps = rx[None]
         else:
             output = self._program.execute(tile, out=target)
         if overwrite:
@@ -638,7 +637,7 @@ class FTPlan:
         backward: bool = False,
         overwrite: bool = False,
         vector: bool = False,
-    ) -> Tuple[np.ndarray, Tuple[Any, ...]]:
+    ) -> Tuple[np.ndarray, Any]:
         """Real rows to packed spectra, tapped by the conjugate-even fold.
 
         The compiled program of an even size also taps its half-length
@@ -650,35 +649,36 @@ class FTPlan:
 
         if vector:
             output, taps = self._transform_rfft(tile[0], None, backward, overwrite)
-            return output[None], tuple(np.atleast_1d(tap) for tap in taps)
+            return output[None], None if taps is None else taps.reshape(-1, 1)
         program, protected = self._real_program, self._protected
         if backward:
             if program is None:
                 output = self._backend.irfft(tile, n=self.n, axis=-1)
             else:
                 output = program.execute_inverse(tile)
-            return output, (output @ self.constants.c_n,) if protected else ()
+            return output, (output @ self.constants.c_n)[None] if protected else None
         if not self._interior:
             if program is None:
                 output = self._backend.rfft(tile, axis=-1)
             else:
                 output = program.execute_overwrite(tile) if overwrite else program.execute(tile)
-            return output, (self._fold(output),) if protected else ()
+            return output, self._fold(output)[None] if protected else None
         z = program.pack(tile)
         if overwrite and program.supports_overwrite:
             spectrum = program.stockham.execute_inplace(z)
         else:
             spectrum = program.transform_half(z)
         output = program.disentangle(spectrum)
-        return output, (self._fold(output), spectrum @ self.constants.r_h)
+        # reprolint: alloc-ok - the two taps, one row each: the fold and r_h . Z
+        return output, np.stack((self._fold(output), spectrum @ self.constants.r_h))
 
-    def _encode_real(self, tile: np.ndarray) -> Tuple[Any, ...]:
+    def _encode_real(self, tile: np.ndarray) -> np.ndarray:
         """``c . x`` of C-contiguous real rows, and ``c_h . z`` of their packed view."""
 
         cx = tile @ self.constants.c_n
         if not self._interior:
-            return (cx,)
-        return cx, tile.view(np.complex128) @ self.constants.c_h
+            return cx[None]
+        return np.stack((cx, tile.view(np.complex128) @ self.constants.c_h))
 
     def _fold(self, packed: np.ndarray) -> Any:
         """``r . X`` of packed spectra: the conjugate-even fold of ``r``."""
@@ -687,16 +687,6 @@ class FTPlan:
         return halfcomplex_sum(consts.hc_a, consts.hc_b, packed, axis=packed.ndim - 1)
 
     # ------------------------------------------------------------------
-    def _as_real(self, data: np.ndarray, name: str = "x") -> np.ndarray:
-        """Real-valued ``data`` as C-contiguous float64, copied only when it is not."""
-
-        data = np.asarray(data)
-        if np.iscomplexobj(data):
-            if np.any(data.imag != 0.0):
-                raise ValueError(f"real plan expects real-valued {name}")
-            data = data.real
-        return np.ascontiguousarray(data, dtype=np.float64)
-
     def _check_out(self, out: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if self.dtype != np.complex128:
             raise ValueError("out= runs in the buffer itself: it requires dtype='complex128'")
@@ -715,9 +705,7 @@ class FTPlan:
 
     def _cast_result(self, result: SchemeResult) -> SchemeResult:
         if self.dtype != np.complex128:
-            output = result.output
-            # Real time-domain output (real-plan inverse) halves the
-            # precision instead of complexifying.
+            output = result.output  # a real inverse's output stays real, in float32
             result.output = output.astype(np.float32 if np.isrealobj(output) else self.dtype)
         return result
 
@@ -747,8 +735,7 @@ class FTPlan:
         start = time.perf_counter()
         result = self.execute(x)
         total = time.perf_counter() - start
-        # Clamped at zero, the total on the same floor: sum(entries) ==
-        # total even when the stage profile measured slower than the call.
+        # Clamped at zero, the total on the same floor: sum(entries) == total.
         entries.append(ProfileEntry(label, max(total - inner, 0.0)))
         total = max(total, inner)
         return ProfileResult(self.n, self.describe(), tuple(entries), total, result.output)
@@ -759,8 +746,7 @@ class FTPlan:
         real = f", real -> {self.bins} bins" if self._real else ""
         inplace = ""
         if self._inplace:
-            # An in-place lowering the size cannot support is called out
-            # (the native-fallback wording), never silently dropped.
+            # an unsupported in-place lowering is called out, never dropped
             inplace = ", inplace-fallback(no Stockham lowering for this size)"
             if self._inplace_program is not None or self._real:
                 inplace = ", inplace"
@@ -790,12 +776,15 @@ class PlanCacheInfo(NamedTuple):
 
 
 _DEFAULT_CACHE_LIMIT = 32
-
 _cache_lock = threading.RLock()
 _cache: "OrderedDict[Tuple[int, FTConfig], FTPlan]" = OrderedDict()
 _cache_limit = _DEFAULT_CACHE_LIMIT
 _hits = 0
 _misses = 0
+#: resolved configs in front of the LRU, by ``(config argument, default
+#: backend)`` and by themselves; cleared when it reaches ``_MEMO_LIMIT``
+_resolved: Dict[Any, FTConfig] = {}
+_MEMO_LIMIT = 256
 
 
 def plan(n: int, config: Union[FTConfig, str, None] = None, **overrides: Any) -> FTPlan:
@@ -819,25 +808,36 @@ def plan(n: int, config: Union[FTConfig, str, None] = None, **overrides: Any) ->
     configuration - FFTW wisdom for the protected transform.
     """
 
-    if config is None:
-        config = FTConfig(**overrides)
-    elif isinstance(config, str):
-        config = FTConfig.from_name(config, **overrides)
-    elif isinstance(config, FTConfig):
-        if overrides:
-            config = config.replace(**overrides)
-    else:
-        raise TypeError(f"config must be FTConfig, str, or None, got {type(config).__name__}")
-
-    # Resolve backend=None to the *current* process default before keying:
-    # otherwise a later set_default_backend() would keep returning plans
-    # built under the old default, and backend=None / backend="fftlib"
-    # would cache duplicate plans for the same kernel.
-    resolved = resolve_backend_name(config.backend)
-    if config.backend != resolved:
-        config = config.replace(backend=resolved)
-
-    key = (int(n), config)
+    memo: Any = None
+    resolved: Optional[FTConfig] = None
+    if not overrides and (config is None or isinstance(config, (str, FTConfig))):
+        # A hit resolves the argument from the memo: no FTConfig is built.
+        memo = (config, default_backend_name())
+        resolved = _resolved.get(memo)
+    if resolved is None:
+        if config is None:
+            resolved = FTConfig(**overrides)
+        elif isinstance(config, str):
+            resolved = FTConfig.from_name(config, **overrides)
+        elif isinstance(config, FTConfig):
+            resolved = config.replace(**overrides) if overrides else config
+        else:
+            raise TypeError(f"config must be FTConfig, str, or None, got {type(config).__name__}")
+        # Resolve backend=None to the *current* process default before
+        # keying: otherwise a later set_default_backend() would keep
+        # returning plans built under the old default, and backend=None /
+        # backend="fftlib" would cache duplicate plans for the same kernel.
+        backend = resolve_backend_name(resolved.backend)
+        if resolved.backend != backend:
+            resolved = resolved.replace(backend=backend)
+        with _cache_lock:
+            if len(_resolved) >= _MEMO_LIMIT:
+                _resolved.clear()
+            # one object per equal config: cache keys then match by identity
+            resolved = _resolved.setdefault(resolved, resolved)
+            if memo is not None:
+                _resolved[memo] = resolved
+    key = (int(n), resolved)
     global _hits, _misses
     with _cache_lock:
         cached = _cache.get(key)
@@ -849,7 +849,7 @@ def plan(n: int, config: Union[FTConfig, str, None] = None, **overrides: Any) ->
     # weight vectors, twiddle warm-up) and must not serialize unrelated
     # threads.  On a race the first inserted plan wins and the duplicate
     # construction is discarded.
-    created = FTPlan(n, config)
+    created = FTPlan(n, resolved)
     with _cache_lock:
         existing = _cache.get(key)
         if existing is not None:
@@ -865,9 +865,9 @@ def plan(n: int, config: Union[FTConfig, str, None] = None, **overrides: Any) ->
             "plan-compile",
             n=int(n),
             scheme=created.scheme.name,
-            backend=resolved,
-            real=bool(config.real),
-            inplace=bool(config.inplace),
+            backend=resolved.backend,
+            real=resolved.real,
+            inplace=resolved.inplace,
         )
     return created
 

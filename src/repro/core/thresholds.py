@@ -38,6 +38,7 @@ __all__ = [
     "ThresholdMode",
     "ThresholdPolicy",
     "residual_exceeds",
+    "sigma0_rows",
 ]
 
 
@@ -51,6 +52,57 @@ def residual_exceeds(residual, eta):
     """
 
     return ~(np.asarray(residual) <= eta)
+
+
+#: Sums of squares below this (or not finite) are recomputed on a scaled row:
+#: below it subnormal squares could cost the sum its relative precision.
+_SMALLEST_SUM = 2.0**-900
+
+
+def sigma0_rows(rows: np.ndarray) -> np.ndarray:
+    """Exact per-component ``sigma0 = ||x||_2 / sqrt(2 width)`` of each tile row.
+
+    ``rows`` is a ``(rows, width)`` complex or real tile.  The squares are
+    summed by BLAS dot products: one for a one-row tile, one stacked
+    ``matmul`` over the float64 parts of a larger tile.  A row whose sum
+    underflows, overflows or is not finite is redone scaled by a power of
+    two, as BLAS ``nrm2`` scales, so ``sigma0`` is right at every finite
+    magnitude.  A row holding a NaN or an infinity gets NaN.  Run it with
+    overflow ignored (the kernel's error state), or a huge row warns.
+    """
+
+    count = 2.0 * rows.shape[1]
+    if len(rows) == 1:  # one dot product, checked in Python floats
+        total = float(np.vdot(rows, rows).real)
+        if _SMALLEST_SUM <= total < math.inf:
+            return np.array([math.sqrt(total / count)])
+        return np.array([_scaled_sigma0(rows[0], count)])
+    parts = rows
+    if rows.dtype.kind == "c":
+        parts = np.ascontiguousarray(rows).view(np.float64)  # copies a strided tile only
+    sums = np.matmul(parts[:, None, :], parts[:, :, None])[:, 0, 0]
+    sigma0 = np.sqrt(sums * (1.0 / count))
+    plain = (sums >= _SMALLEST_SUM) & (sums < np.inf)  # NaN fails both
+    if np.count_nonzero(plain) < len(sums):
+        for i in np.flatnonzero(~plain):
+            sigma0[i] = _scaled_sigma0(rows[i], count)
+    return sigma0
+
+
+def _scaled_sigma0(row: np.ndarray, count: float) -> float:
+    """``sqrt(sum |row|^2 / count)`` of one row, summed at unit scale."""
+
+    parts = np.concatenate((row.real, row.imag)) if row.dtype.kind == "c" else row
+    peak = float(np.max(np.abs(parts)))
+    if not math.isfinite(peak):
+        return math.nan
+    if peak == 0.0:
+        return 0.0
+    exponent = math.frexp(peak)[1]
+    scaled = np.ldexp(parts, -exponent)
+    # count >= parts.size and every scaled part is below 1: at most peak
+    return math.ldexp(math.sqrt(float(np.dot(scaled, scaled)) / count), exponent)
+
 
 #: Mantissa bits of IEEE-754 binary64 (excluding the implicit leading bit).
 MANTISSA_BITS_DOUBLE = 52
@@ -193,14 +245,13 @@ class ThresholdPolicy:
     relative_factor: float = 5e-12
     floor: float = 1e-300
 
-    #: Number of elements sampled when estimating data statistics.  The
-    #: thresholds only need the *scale* of the data; sampling keeps the
-    #: estimation cost O(1) relative to the transform instead of adding an
-    #: extra full pass per verification boundary.  1024 strided samples pin
-    #: the robust RMS to a few percent (concentration ~1/sqrt(2k)), far
-    #: inside the 3-sigma safety factor and the paper's conservative
-    #: n^(3/2) round-off bound; the median/partition work this saves was
-    #: the single largest non-BLAS cost of a protected transform.
+    #: Number of elements the scheme oracle samples when it estimates a
+    #: data scale (:meth:`magnitude_rms`).  The protected kernel of
+    #: :class:`~repro.core.ftplan.FTPlan` samples nothing: its thresholds
+    #: come from each row's exact norm (:meth:`tile_thresholds`).  1024
+    #: strided samples pin the robust RMS to a few percent (concentration
+    #: ~1/sqrt(2k)), far inside the 3-sigma safety factor and the paper's
+    #: conservative n^(3/2) round-off bound.
     sample_size: int = 1024
 
     # ------------------------------------------------------------------
@@ -306,7 +357,7 @@ class ThresholdPolicy:
 
         Both threshold modes are linear in ``sigma0``, so a plan evaluates
         this once per check and :meth:`tile_thresholds` scales it by each
-        row's sampled ``sigma0``.
+        row's exact ``sigma0``.
         """
 
         if self.mode is ThresholdMode.RELATIVE:
@@ -325,32 +376,34 @@ class ThresholdPolicy:
     def tile_thresholds(self, rows: np.ndarray, units: np.ndarray) -> np.ndarray:
         """Per-row thresholds of a ``(rows, width)`` tile: ``(rows, len(units))``.
 
-        One robust sample of each row's ``sigma0`` (see
-        :meth:`_component_sigma_rows`), times each plan-time unit
-        (:meth:`offline_unit`, :meth:`memory_unit`), floored.
+        Each row's exact ``sigma0 = ||x||_2 / sqrt(2 width)`` (see
+        :func:`sigma0_rows`; NaN for a row holding a NaN or an infinity)
+        times each plan-time unit (:meth:`offline_unit`,
+        :meth:`memory_unit`), floored.  For the paper's Gaussian input this
+        is its sigma0; unlike a sample, the norm sees an impulse's or a
+        tone spectrum's energy wherever it sits.
         """
 
-        return self._scaled(self._component_sigma_rows(rows)[:, None], units)
+        return self._scaled(sigma0_rows(rows)[:, None], units)
 
     def packed_thresholds(self, packed: np.ndarray, n: int, units: np.ndarray) -> np.ndarray:
         """:meth:`tile_thresholds` of the packed spectra of real ``n``-point rows.
 
         The first unit scales the real signal's ``sigma0``, the others the
-        bins' own.  Both come from the exact energy of the bins, not from a
-        sample: a spectrum can be as spiky as one tone's, whose energy sits
-        in the few bins a sampled robust scale drops as outliers.  By
-        Parseval the signal's ``sum x^2`` is ``(|X_0|^2 + 2 sum |X_k|^2 +
-        |X_(n/2)|^2) / n``, with no Nyquist bin for odd ``n``.
+        bins' own; both come from the exact norm of the bins.  By Parseval
+        the signal's ``sum x^2`` is ``(|X_0|^2 + 2 sum |X_k|^2 +
+        |X_(n/2)|^2) / n``, with no Nyquist bin for odd ``n``; it is formed
+        relative to the bins' ``sigma0``, so no square overflows.
         """
 
-        re, im = packed.real, packed.imag
-        energy = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-        edges = np.square(np.abs(packed[:, 0]))
-        if n % 2 == 0:
-            edges += np.square(np.abs(packed[:, -1]))
+        bins = packed.shape[1]
         sigma0 = np.empty((len(packed), len(units)))
-        sigma0[:, :1] = np.sqrt((2.0 * energy - edges) * 0.5)[:, None] / n
-        sigma0[:, 1:] = np.sqrt(energy * (0.5 / packed.shape[1]))[:, None]
+        sigma0[:, 1:] = own = sigma0_rows(packed)[:, None]
+        scale = np.where(own[:, 0] > 0.0, own[:, 0], 1.0)
+        edges = np.square(np.abs(packed[:, 0]) / scale)
+        if n % 2 == 0:
+            edges += np.square(np.abs(packed[:, -1]) / scale)
+        sigma0[:, 0] = own[:, 0] * np.sqrt(np.maximum(2.0 * bins - 0.5 * edges, 0.0)) / n
         return self._scaled(sigma0, units)
 
     def _scaled(self, sigma0: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -359,30 +412,6 @@ class ThresholdPolicy:
         if self.mode is ThresholdMode.RELATIVE:
             sigma0 = np.maximum(sigma0, 1e-30)
         return np.maximum(sigma0 * units, self.floor)
-
-    def _component_sigma_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Per-row :meth:`component_sigma` of a ``(rows, width)`` tile (robust, sampled).
-
-        The same outlier rule as :meth:`_magnitude_rms`, with the upper
-        middle order statistic as each row's median.
-        """
-
-        step = max(1, rows.shape[1] // self.sample_size)
-        sample = np.abs(rows[:, ::step])
-        width = sample.shape[1]
-        median = np.partition(sample, width // 2, axis=1)[:, width // 2]
-        squares = np.einsum("ij,ij->i", sample, sample)
-        # The common case in one comparison: a sum of squares within
-        # (1e6 x median)^2 means no value is non-finite or an outlier.
-        if (squares <= 1e12 * np.square(median)).all():
-            return np.sqrt(squares * (0.5 / width))
-        # Drop non-finite values and values more than 1e6 x the median
-        # (rows whose median is 0 keep everything finite).
-        keep = np.isfinite(sample) & ((median[:, None] <= 0.0) | (sample <= 1e6 * median[:, None]))
-        counts = keep.sum(axis=1)
-        sample = np.where(keep, sample, 0.0)
-        rms = np.sqrt(np.einsum("ij,ij->i", sample, sample) / np.maximum(counts, 1))
-        return np.where(counts > 0, rms, np.nan_to_num(median, posinf=0.0)) * np.sqrt(0.5)
 
     def eta_memory(
         self,

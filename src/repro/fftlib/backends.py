@@ -214,8 +214,9 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 def default_backend_name() -> str:
-    with _LOCK:
-        return _DEFAULT_NAME
+    # Rebinding a module global is atomic, so a read needs no lock: plan()
+    # reads this on every cache hit.
+    return _DEFAULT_NAME
 
 
 def set_default_backend(name: str) -> None:

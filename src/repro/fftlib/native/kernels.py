@@ -189,6 +189,7 @@ class NativeProgram:
         "_counts",
         "_tw_ptrs",
         "_refs",
+        "_tables",
     )
 
     def __init__(self, lib: ctypes.CDLL, program: Any) -> None:
@@ -226,6 +227,12 @@ class NativeProgram:
             tw_addrs.append(twiddle.ctypes.data)
         self._tw_ptrs = (_cvp * max(self.nstages, 1))(*(tw_addrs or [0]))
         self._refs = tuple(refs)
+        # the stage tables' addresses, taken once: ``.ctypes`` costs ~2 us a call
+        self._tables = (
+            self._spans.ctypes.data,
+            self._counts.ctypes.data,
+            ctypes.addressof(self._tw_ptrs),
+        )
 
     # ------------------------------------------------------------------
     def _row_stride(self, arr: np.ndarray) -> int:
@@ -246,9 +253,7 @@ class NativeProgram:
             self.base,
             self._base_matrix_ptr,
             self.nstages,
-            self._spans.ctypes.data,
-            self._counts.ctypes.data,
-            ctypes.addressof(self._tw_ptrs),
+            *self._tables,
             xs.ctypes.data,
             self._row_stride(xs),
             out.ctypes.data,
@@ -267,9 +272,7 @@ class NativeProgram:
             self.base,
             self._base_matrix_ptr,
             self.nstages,
-            self._spans.ctypes.data,
-            self._counts.ctypes.data,
-            ctypes.addressof(self._tw_ptrs),
+            *self._tables,
             data.ctypes.data,
             self._row_stride(data),
             work.ctypes.data,

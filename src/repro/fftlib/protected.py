@@ -132,11 +132,12 @@ class ProtectedStageProgram:
         """The input checksum ``c . x`` (the reference side of the check).
 
         One value for one vector, one per row for a ``(rows, n)`` tile.
-        Overflow from a corrupted input is a mismatch, not a warning.
+        It runs under the caller's floating-point error state; the kernel
+        of :class:`~repro.core.ftplan.FTPlan` ignores overflow for a whole
+        call, since overflow from a corrupted input is a mismatch.
         """
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.dot(x, self.c)
+        return np.dot(x, self.c)
 
     def execute_tapped(
         self, x: np.ndarray, backward: bool = False, out: Optional[np.ndarray] = None
@@ -148,22 +149,20 @@ class ProtectedStageProgram:
         With ``backward`` the output is the inverse DFT of ``x`` instead,
         ``F(x)`` reversed and scaled by ``1/n``, and the checksum is still
         the forward program's ``r . F(x)``: the one :meth:`encode` predicts.
+        Like :meth:`encode`, it runs under the caller's error state.
         """
 
         y = self.program.execute(x, out=None if backward else out)
         if not backward:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return y, np.dot(y, self.r)
+            return y, np.dot(y, self.r)
         if y.size >= _NATIVE_MIN_ELEMENTS and self.program.native is not None:
             # The program ran in C: finish there too, in place, one pass a row.
             # reprolint: alloc-ok - p residue-class sums a row, not an n-vector
             sums = np.empty(y.shape[:-1] + (self.p,), dtype=np.complex128)
             for row, row_sums in zip(y.reshape(-1, self.n), sums.reshape(-1, self.p)):
                 self.program.native.finish_inverse(row, row_sums)
-            with np.errstate(over="ignore", invalid="ignore"):
-                return y, np.dot(sums, self.r[: self.p])
-        with np.errstate(over="ignore", invalid="ignore"):
-            rx = np.dot(y, self.r)
+            return y, np.dot(sums, self.r[: self.p])
+        rx = np.dot(y, self.r)
         # reprolint: alloc-ok - the inverse's output: F(x) reversed, then
         # scaled in place through its float64 view, as the C finish scales
         inverse = np.concatenate((y[..., :1], y[..., :0:-1]), axis=-1)

@@ -3,10 +3,11 @@
 Every row of the same ``(n, canonical config)`` key that waits at the same
 time joins one group, and the group executes as a single
 :meth:`repro.core.ftplan.FTPlan.execute_many` call.  That is the whole
-point of serving through the plan cache: the batched path samples the
-robust threshold statistics once per batch, runs one matmul per checksum
-vector, and verifies every row in one pass - overheads that a
-one-request-per-``execute`` front end pays per request.
+point of serving through the plan cache: a flush costs one cache hit (no
+config is rebuilt), and the batched path takes every row's exact norm in
+one reduction, runs one product per checksum vector, and verifies every
+row in one pass - overheads that a one-request-per-``execute`` front end
+pays per request.
 
 ``window=0`` (the default) batches without waiting: the first row of a
 group schedules the group's flush with ``loop.call_soon``, so the group

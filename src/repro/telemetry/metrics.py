@@ -92,10 +92,13 @@ class Registry:
         private shard merged on read.
         """
 
-        if labels:
-            key: CounterKey = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        if not labels:
+            key: CounterKey = (name, ())
+        elif len(labels) == 1:  # the common case, with nothing to sort
+            ((label, value),) = labels.items()
+            key = (name, ((label, str(value)),))
         else:
-            key = (name, ())
+            key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         shard = self._shard()
         shard[key] = shard.get(key, 0) + amount
 

@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "as_complex_vector",
     "as_complex_matrix",
+    "as_real_array",
     "ensure_positive_int",
     "ensure_power_of",
     "is_power_of_two",
@@ -47,6 +48,21 @@ def as_complex_vector(x, *, copy: bool = False, name: str = "x") -> np.ndarray:
     elif copy and np.shares_memory(result, arr):
         result = result.copy()
     return result
+
+
+def as_real_array(x, *, name: str = "x") -> np.ndarray:
+    """Real-valued ``x`` as C-contiguous float64, copied only when it is not.
+
+    Complex input with zero imaginary parts is accepted; any non-zero
+    imaginary part raises ``ValueError``.
+    """
+
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag != 0.0):
+            raise ValueError(f"real plan expects real-valued {name}")
+        arr = arr.real
+    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 def as_complex_matrix(x, *, name: str = "x") -> np.ndarray:

@@ -172,6 +172,31 @@ class TestPlanCache:
         finally:
             repro.set_default_backend("fftlib")
 
+    @pytest.mark.parametrize("config", [None, "opt-online+mem", FTConfig(kind="offline")])
+    def test_hit_constructs_no_config(self, monkeypatch, config):
+        first = plan(256, config)
+        built = []
+        post_init = FTConfig.__post_init__
+        monkeypatch.setattr(
+            FTConfig, "__post_init__", lambda self: built.append(1) or post_init(self)
+        )
+        hits = plan_cache_info().hits
+        assert plan(256, config) is first and plan(256, config) is first
+        assert not built
+        assert plan_cache_info().hits == hits + 2
+        # overrides still resolve a config, to the same cached plan
+        assert plan(256, config, backend="fftlib") is first and built
+
+    def test_a_hit_follows_the_current_default_backend(self):
+        fftlib = plan(128, "opt-online+mem")
+        repro.set_default_backend("numpy")
+        try:
+            numpy = plan(128, "opt-online+mem")
+            assert numpy.backend == "numpy" and numpy is not fftlib
+        finally:
+            repro.set_default_backend("fftlib")
+        assert plan(128, "opt-online+mem") is fftlib
+
     def test_bad_config_type(self):
         with pytest.raises(TypeError, match="config"):
             plan(64, 3.14)

@@ -182,13 +182,16 @@ class TestThresholdEquivalence:
         w_rms = 1.5
         units = np.array([pol.offline_unit(n), pol.memory_unit(weights.size, w_rms)])
         rows = np.stack([_data(min(n, 4096), seed=s) * 10.0 ** (3 * s - 6) for s in range(5)])
+        rows[2] = 0.0
+        rows[2, min(5, rows.shape[1] - 1)] = 1.0  # an impulse, which a strided sample can miss
         etas = pol.tile_thresholds(rows, units)
         for row, (eta, eta_mem) in zip(rows, etas):
-            rms = pol.magnitude_rms(row)
-            sigma0 = rms / np.sqrt(2.0)
+            # the row's exact sigma0 = ||x||_2 / sqrt(2 width); |x|'s RMS is sqrt(2) sigma0
+            sigma0 = np.linalg.norm(row) / np.sqrt(2.0 * row.size)
             assert eta == pytest.approx(pol.eta_offline(n, None, sigma0=sigma0), rel=1e-12)
             assert eta_mem == pytest.approx(
-                pol.eta_memory(weights, None, weight_rms=w_rms, data_rms=rms), rel=1e-12
+                pol.eta_memory(weights, None, weight_rms=w_rms, data_rms=np.sqrt(2.0) * sigma0),
+                rel=1e-12,
             )
 
     @pytest.mark.parametrize("mode", [ThresholdMode.PAPER, ThresholdMode.RELATIVE])
