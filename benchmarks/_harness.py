@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.base import FTScheme
 from repro.core.config import FTConfig
 from repro.core.ftplan import FTPlan, plan
 from repro.utils.reporting import Table
@@ -90,6 +91,20 @@ def plan_for(name: str, n: int, backend: Optional[str] = None) -> FTPlan:
 
     config = FTConfig.from_name(name, backend=backend or bench_backend())
     return plan(n, config)
+
+
+def oracle_for(name: str, n: int, backend: Optional[str] = None) -> FTScheme:
+    """The paper-exact scheme of a legacy scheme name, held by its cached plan.
+
+    The paper's timing harnesses (Fig. 7, Table 1, the Section 7 tables)
+    time ``oracle_for(name, n).execute`` on every row, the baseline
+    included: every bar is then a paper-exact scheme over ``PlainFFT`` on
+    the same two-layer substrate.  A plan's own ``execute`` runs the
+    protected kernel instead, or for ``"fftw"`` the unchecked program, and
+    would compare two different substrates.
+    """
+
+    return plan_for(name, n, backend).scheme
 
 
 def make_input(n: int, seed: int = 20170712) -> np.ndarray:

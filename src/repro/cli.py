@@ -231,7 +231,7 @@ def _add_signal_options(parser: argparse.ArgumentParser) -> None:
 def _cmd_schemes(args: argparse.Namespace) -> int:
     table = Table("available protection schemes", ["name", "description"])
     descriptions = {
-        "fftw": "unprotected baseline (two-layer plan, no checksums)",
+        "fftw": "unprotected baseline (no checksums)",
         "offline": "offline ABFT, naive encoding, computational FT only",
         "opt-offline": "offline ABFT, optimized encoding, computational FT only",
         "offline+mem": "offline ABFT with memory fault tolerance (naive)",

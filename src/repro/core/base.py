@@ -52,8 +52,9 @@ class OptimizationFlags:
         buffer before computing on them (Section 4.4 / Section 6.2).
     group_size:
         Number of sub-FFTs executed between consecutive verifications (the
-        paper's ``s``); verification granularity - and therefore recovery
-        granularity - remains a single sub-FFT.
+        paper's ``s``) under a live injector; a fault-free run takes each
+        part as one group.  Verification granularity - and therefore
+        recovery granularity - remains a single sub-FFT.
     max_retries:
         Bound on the recompute-and-reverify loop of Algorithm 2 so that a
         persistent (non-transient) fault cannot hang the transform.

@@ -36,6 +36,7 @@ second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -284,10 +285,11 @@ def locate_single_error(
     ``vector[index]``, or ``None`` when no single element explains the
     discrepancy (the paper's "uncorrected due to wrong indexing" outcome).
 
-    The dot products are evaluated on a rescaled copy of the data so that a
-    corrupted element of extreme magnitude (e.g. an exponent-bit flip that
-    produces ~1e300) does not overflow the weighted sums and defeat the
-    location step.
+    A corrupted element near the top of the double range (an exponent-bit
+    flip to ~1e308) overflows the weighted sums; they are then redone on the
+    data scaled by the smallest power of two that keeps them finite.  The
+    other elements stay normal numbers: scaled by the peak itself they would
+    turn subnormal, which is slow and underflows.
     """
 
     vector = np.asarray(vector, dtype=np.complex128)
@@ -295,21 +297,30 @@ def locate_single_error(
     w1 = np.asarray(w1, dtype=np.complex128)
     w2 = np.asarray(w2, dtype=np.complex128)
 
-    peak = float(np.max(np.abs(vector))) if n else 0.0
-    if not np.isfinite(peak):
-        # An element became inf/NaN; locate it directly (the checksums cannot
-        # quantify it, but a non-finite element is unambiguous).
-        bad = np.nonzero(~np.isfinite(vector))[0]
-        if bad.size != 1:
-            return None
-        return int(bad[0]), complex(np.inf)
-    scale = max(peak, 1.0)
-
+    scale = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = np.dot(w1, vector / scale) - s1 / scale
-        d2 = np.dot(w2, vector / scale) - s2 / scale
+        d1 = np.dot(w1, vector) - s1
+        d2 = np.dot(w2, vector) - s2
     if not (np.isfinite(d1) and np.isfinite(d2)):
-        return None
+        peak = float(np.max(np.abs(vector))) if n else 0.0
+        if not np.isfinite(peak):
+            # An element became inf/NaN; locate it directly (the checksums
+            # cannot quantify it, but a non-finite element is unambiguous).
+            bad = np.nonzero(~np.isfinite(vector))[0]
+            if bad.size != 1:
+                return None
+            return int(bad[0]), complex(np.inf)
+        # |w . v| <= peak * sum|w|: 2^-1020 of that bound leaves headroom.
+        reach = max(float(np.sum(np.abs(w1))), float(np.sum(np.abs(w2))))
+        exponent = math.frexp(peak)[1] + math.frexp(reach)[1] - 1020
+        if exponent <= 0:
+            return None  # not an overflow: a stored checksum is non-finite
+        scale = math.ldexp(1.0, exponent)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1 = np.dot(w1, vector / scale) - s1 / scale
+            d2 = np.dot(w2, vector / scale) - s2 / scale
+        if not (np.isfinite(d1) and np.isfinite(d2)):
+            return None
     if d1 == 0:
         return None
     ratio = d2 / d1

@@ -13,9 +13,10 @@ scheme it constructs; schemes built directly create their own).
 Fault-injection semantics are preserved: when a *live* injector is present,
 the online schemes still regenerate their ``rA`` vectors under DMR so the
 ``CHECKSUM_COMPUTE`` fault site behaves exactly as in the paper (and as in
-the seed).  The bundle is only the fault-free fast path - and because every
-vector is produced by the same deterministic expressions the schemes used
-per-run, the fault-free results are bit-identical.
+the seed).  A fault-free run uses the bundle in place of that regeneration
+- and because every vector is produced by the same deterministic
+expressions the schemes used per-run, the fault-free results are
+bit-identical.
 """
 
 from __future__ import annotations

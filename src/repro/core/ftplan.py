@@ -32,8 +32,9 @@ forms, are that kernel at different tile counts, around a transform
 callable picked at plan time: the compiled or native program through the
 tap (:class:`~repro.fftlib.protected.ProtectedStageProgram`), a foreign
 backend's ``fft``, the real program with its interior check as a second
-tapped pair, or the in-place Stockham program.  Only a live injector on
-``execute`` or a complex ``inverse`` takes the paper-exact scheme path.
+tapped pair, or the in-place Stockham program; an unprotected plan runs
+the same routes with no checks.  Only a live injector on ``execute`` or a
+complex ``inverse`` takes the paper-exact scheme path.
 Every execution runs on the caller's thread.
 """
 
@@ -55,6 +56,7 @@ from repro.core.thresholds import ThresholdPolicy, residual_exceeds
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSite
 from repro.fftlib.backends import default_backend_name, get_backend, resolve_backend_name
+from repro.fftlib.protected import finish_inverse
 from repro.telemetry import trace as _trace
 from repro.utils.validation import as_complex_vector, as_real_array, ensure_positive_int
 
@@ -213,8 +215,6 @@ class FTPlan:
             return self._cast_result(self.scheme.execute(data, injector))
         if self._real:
             return self._single(self._forward_one, as_real_array(x), None)
-        if not self._protected:
-            return self._cast_result(self.scheme.execute(x, injector))
         return self._single(self._forward_one, as_complex_vector(x, name="x"), None)
 
     __call__ = execute
@@ -236,7 +236,7 @@ class FTPlan:
         if self._real:
             packed = np.asarray(spectrum, dtype=np.complex128)
             return self._single(self._backward_one, packed, injector)
-        if self._protected and (injector is None or not injector.is_live):
+        if injector is None or not injector.is_live:
             return self._single(self._backward_one, as_complex_vector(spectrum, name="X"), None)
         result = self.scheme.execute(np.conj(spectrum, dtype=np.complex128), injector)
         # conj(X) / n in place through the fresh result's float64 view
@@ -623,6 +623,9 @@ class FTPlan:
         if self._tap is not None:
             output, rx = self._tap.execute_tapped(tile, backward, target)
             taps = rx[None]
+        elif backward:
+            # unprotected: the tapped inverse's finish, with no check
+            output, _ = finish_inverse(self._program, self._program.execute(tile))
         else:
             output = self._program.execute(tile, out=target)
         if overwrite:

@@ -31,6 +31,7 @@ from repro.core.checksums import (
 )
 from repro.core.constants import SchemeConstants
 from repro.core.detection import FTReport
+from repro.core.plain import two_layer_run
 from repro.core.thresholds import ThresholdPolicy, residual_exceeds
 from repro.faults.models import FaultSite
 from repro.fftlib.two_layer import TwoLayerPlan
@@ -83,55 +84,14 @@ class OfflineABFT(FTScheme):
 
     # ------------------------------------------------------------------
     def _execute_plan(self, x: np.ndarray, injector) -> np.ndarray:
-        """One unprotected run of the full transform, visiting fault sites.
+        """One unchecked run of the full transform (the plain baseline's traversal).
 
-        The traversal (grouped sub-FFT blocks) matches the plain baseline and
-        the online schemes so that measured overheads isolate the
-        fault-tolerance work.
+        In real mode the OUTPUT site strikes the packed spectrum (the array
+        the caller receives); the end-to-end verification in _run checks
+        exactly that layout, so a hit here is detected and restarted.
         """
 
-        plan = self.plan
-        m, k = plan.m, plan.k
-        group = self.group_size
-        live = getattr(injector, "is_live", True)
-
-        if not live:
-            # Fault-free fast path: same traversal, whole-stage batched.
-            work = plan.gather_input(x)
-            intermediate = plan.stage1(work)
-            twiddled = plan.apply_twiddle(intermediate)
-            result = plan.stage2(twiddled)
-            return self._pack(plan.scatter_output(result))
-
-        # Live-injector path: group-wise traversal exposing every fault site.
-        work = np.array(plan.gather_input(x))
-        injector.visit(FaultSite.STAGE1_INPUT, work)
-
-        intermediate = np.empty_like(work)
-        for start in range(0, k, group):
-            stop = min(start + group, k)
-            sub = plan.stage1_columns(work, start, stop)
-            for i in range(start, stop):
-                injector.visit(FaultSite.STAGE1_COMPUTE, sub[:, i - start], index=i)
-            intermediate[:, start:stop] = sub
-        injector.visit(FaultSite.INTERMEDIATE, intermediate)
-
-        result = np.empty_like(intermediate)
-        for start in range(0, m, group):
-            stop = min(start + group, m)
-            rows = slice(start, stop)
-            twiddled = intermediate[rows, :] * plan.twiddles[rows, :]
-            injector.visit(FaultSite.TWIDDLE_COMPUTE, twiddled, index=start)
-            injector.visit(FaultSite.STAGE2_INPUT, twiddled, index=start)
-            sub = plan.outer_plan.execute_batch(twiddled, axis=1)
-            for j in range(start, stop):
-                injector.visit(FaultSite.STAGE2_COMPUTE, sub[j - start, :], index=j)
-            result[rows, :] = sub
-
-        # In real mode the OUTPUT site strikes the packed spectrum (the array
-        # the caller receives); the end-to-end verification in _run checks
-        # exactly that layout, so a hit here is detected and restarted.
-        output = self._pack(plan.scatter_output(result))
+        output = self._pack(two_layer_run(self.plan, x, injector, self.group_size))
         injector.visit(FaultSite.OUTPUT, output)
         return output
 
@@ -155,7 +115,6 @@ class OfflineABFT(FTScheme):
     def _run(self, x: np.ndarray, injector, report: FTReport) -> np.ndarray:
         n = self.n
         consts = self.constants
-        live = getattr(injector, "is_live", True)
 
         # ----- encoding: plan-time vectors, per-run data checksums --------
         # (Algorithm 1 never DMR-protects its encoding vector, so the
@@ -193,8 +152,7 @@ class OfflineABFT(FTScheme):
 
         # Faults may strike the input only after the checksums exist (the
         # paper's fault model excludes faults during checksum generation).
-        if live:
-            injector.visit(FaultSite.INPUT, x)
+        injector.visit(FaultSite.INPUT, x)
 
         # ----- compute, verify at the end, restart on error ---------------
         output = None

@@ -19,10 +19,12 @@ This module implements the scheme exactly as introduced in Section 3, i.e.
   MCV),
 * nothing is postponed and nothing is generated incrementally.
 
-Sub-FFTs are *executed* in groups of ``group_size`` columns/rows so the
-NumPy backend stays vectorised (FFTW likewise executes batched sub-plans;
-the paper's Fig. 2 groups ``s`` second-part FFTs per verification block),
-but verification and recovery granularity remain a single sub-FFT.
+Under a live injector the sub-FFTs are *executed* in groups of
+``group_size`` columns/rows (the paper's Fig. 2 groups ``s`` second-part
+FFTs per verification block), each one exposed to the injector; a
+fault-free run takes each part as one group.  Either way every pass of
+Fig. 2 is paid, and verification and recovery granularity remain a
+single sub-FFT.
 """
 
 from __future__ import annotations
@@ -100,16 +102,19 @@ class OnlineABFT(FTScheme):
         plan = self.plan
         m, k = plan.m, plan.k
         consts = self.constants
-        group = max(1, int(self.flags.group_size))
         retries = max(1, int(self.flags.max_retries))
-        # Live injectors may target the checksum-vector generation, so the
-        # naive rA vectors are regenerated under DMR (Algorithm 2, l.3);
-        # fault-free runs use the bit-identical plan-time constants and skip
-        # per-site visit loops.
+        # A live injector sees the paper's run: groups of ``group_size``
+        # sub-FFTs, each one exposed to it, and the rA vectors regenerated
+        # under DMR (it may target CHECKSUM_COMPUTE).  A fault-free run takes
+        # each part as one group and the bit-identical plan-time vectors.
         live = getattr(injector, "is_live", True)
+        group1 = group2 = max(1, int(self.flags.group_size))
+        if not live:
+            group1, group2 = k, m
 
         # ----- checksum vectors, generated with DMR (Algorithm 2, l.3/l.11) ---
-        r_m = consts.r_m
+        r_m, r_k = consts.r_m, consts.r_k
+        c_m, c_k = consts.c_m, consts.c_k
         if live:
             c_m = dmr_elementwise(
                 lambda: input_checksum_weights_naive(m),
@@ -119,8 +124,6 @@ class OnlineABFT(FTScheme):
                 report=report,
                 label="checksum-vector-dmr",
             )
-        else:
-            c_m = consts.c_m
         # One robust sample of the input feeds every x-derived threshold.
         x_rms = self.thresholds.magnitude_rms(x)
         sigma0 = float(x_rms / np.sqrt(2.0))
@@ -144,26 +147,15 @@ class OnlineABFT(FTScheme):
 
         # Faults may strike only once the protection exists (the paper's fault
         # model excludes corruption during checksum generation).
-        if live:
-            injector.visit(FaultSite.INPUT, work)
-            injector.visit(FaultSite.STAGE1_INPUT, work)
-
-        if not live:
-            # Fault-free fast path: the same passes as Fig. 2 (every MCG and
-            # MCV of the naive scheme is still paid), executed whole-stage
-            # with batched sub-FFT calls and one GEMV per checksum pass.
-            return self._run_vectorized(
-                work, injector, report, c_m, r_m, eta1, eta2,
-                mem_m, mem_k, in_pair, eta_mem_col, retries,
-            )
+        injector.visit(FaultSite.INPUT, work)
+        injector.visit(FaultSite.STAGE1_INPUT, work)
 
         # ----- part 1: k m-point FFTs ----------------------------------------
-        intermediate = np.empty_like(work)
         mid_s1 = np.empty(k, dtype=np.complex128) if self.memory_ft else None
         mid_s2 = np.empty(k, dtype=np.complex128) if self.memory_ft else None
 
-        for start in range(0, k, group):
-            stop = min(start + group, k)
+        for start in range(0, k, group1):
+            stop = min(start + group1, k)
             cols = slice(start, stop)
 
             # MCV before use (no postponing in the naive scheme).
@@ -178,8 +170,9 @@ class OnlineABFT(FTScheme):
             # Compute the sub-FFTs (batched) and expose them to the injector
             # one column at a time so faults can target a specific sub-FFT.
             sub = plan.stage1_columns(work, start, stop)
-            for i in range(start, stop):
-                injector.visit(FaultSite.STAGE1_COMPUTE, sub[:, i - start], index=i)
+            if live:
+                for i in range(start, stop):
+                    injector.visit(FaultSite.STAGE1_COMPUTE, sub[:, i - start], index=i)
 
             # CCV per sub-FFT (vectorized: one GEMV + one comparison per
             # group; only violating sub-FFTs enter the recovery path).
@@ -195,7 +188,10 @@ class OnlineABFT(FTScheme):
                 if not corrected:
                     report.record_uncorrectable(f"stage1 sub-FFT {i} could not be corrected")
 
-            intermediate[:, cols] = sub
+            if start == 0:  # a fault-free run keeps its one group's output as it is
+                intermediate = np.empty_like(work) if live else sub
+            if intermediate is not sub:
+                intermediate[:, cols] = sub
 
             # MCG of the intermediate output of these sub-FFTs (Fig. 2).
             if self.memory_ft:
@@ -221,15 +217,15 @@ class OnlineABFT(FTScheme):
                 intermediate, slice(0, k), mem_m, mid_pair, eta_mem_mid, report, "pre-twiddle-mcv"
             )
 
-        r_k = consts.r_k
-        c_k = dmr_elementwise(
-            lambda: input_checksum_weights_naive(k),
-            injector=injector,
-            site=FaultSite.CHECKSUM_COMPUTE,
-            index=1,
-            report=report,
-            label="checksum-vector-dmr",
-        )
+        if live:
+            c_k = dmr_elementwise(
+                lambda: input_checksum_weights_naive(k),
+                injector=injector,
+                site=FaultSite.CHECKSUM_COMPUTE,
+                index=1,
+                report=report,
+                label="checksum-vector-dmr",
+            )
 
         twiddled = dmr_elementwise(
             lambda: intermediate * plan.twiddles,
@@ -253,12 +249,11 @@ class OnlineABFT(FTScheme):
             eta_mem_row = 0.0
 
         # ----- part 2: m k-point FFTs ----------------------------------------
-        result = np.empty_like(twiddled)
         out_s1 = np.empty(m, dtype=np.complex128) if self.memory_ft else None
         out_s2 = np.empty(m, dtype=np.complex128) if self.memory_ft else None
 
-        for start in range(0, m, group):
-            stop = min(start + group, m)
+        for start in range(0, m, group2):
+            stop = min(start + group2, m)
             rows = slice(start, stop)
 
             if self.memory_ft:
@@ -269,8 +264,9 @@ class OnlineABFT(FTScheme):
             ccg2 = weighted_sum(c_k, twiddled[rows, :], axis=1)
 
             sub = plan.stage2_rows(twiddled, start, stop)
-            for j in range(start, stop):
-                injector.visit(FaultSite.STAGE2_COMPUTE, sub[j - start, :], index=j)
+            if live:
+                for j in range(start, stop):
+                    injector.visit(FaultSite.STAGE2_COMPUTE, sub[j - start, :], index=j)
 
             residuals = np.abs(weighted_sum(r_k, sub, axis=1) - ccg2)
             report.bump("verifications", stop - start)
@@ -284,7 +280,10 @@ class OnlineABFT(FTScheme):
                 if not corrected:
                     report.record_uncorrectable(f"stage2 sub-FFT {j} could not be corrected")
 
-            result[rows, :] = sub
+            if start == 0:
+                result = np.empty_like(twiddled) if live else sub
+            if result is not sub:
+                result[rows, :] = sub
 
             if self.memory_ft:
                 out_s1[rows] = weighted_sum(mem_k.w1, sub, axis=1)
@@ -302,103 +301,6 @@ class OnlineABFT(FTScheme):
         if self.memory_ft:
             self._final_output_check(output, mem_k, out_s1, out_s2, report)
 
-        return output
-
-    # ------------------------------------------------------------------
-    # fault-free fast path
-    # ------------------------------------------------------------------
-    def _run_vectorized(
-        self, work, injector, report, c_m, r_m, eta1, eta2,
-        mem_m, mem_k, in_pair, eta_mem_col, retries,
-    ) -> np.ndarray:
-        """Whole-stage execution of the naive scheme (no live injector).
-
-        Every redundant pass of Fig. 2 - input MCV before use, per-sub-FFT
-        CCG/CCV, intermediate MCG + pre-twiddle MCV, regenerated row MCG +
-        MCV, output MCG and the final MCV - is still performed (the naive
-        scheme's overhead is the point of the ablation benchmarks); only the
-        group loop is replaced by batched calls.
-        """
-
-        plan = self.plan
-        m, k = plan.m, plan.k
-        consts = self.constants
-
-        # ----- part 1 ------------------------------------------------------
-        if self.memory_ft:
-            self._verify_columns(
-                work, slice(0, k), mem_m, in_pair, eta_mem_col, report, "stage1-input-mcv"
-            )
-        ccg = weighted_sum(c_m, work, axis=0)
-        intermediate = plan.stage1(work)
-        residuals = np.abs(weighted_sum(r_m, intermediate, axis=0) - ccg)
-        report.bump("verifications", k)
-        for local in np.nonzero(residual_exceeds(residuals, eta1))[0]:
-            i = int(local)
-            report.record_verification("stage1-ccv", i, float(residuals[i]), eta1, True)
-            corrected = self._recover_stage1(
-                work, intermediate, i, 0, c_m, r_m, eta1, mem_m, in_pair, eta_mem_col,
-                injector, report, retries,
-            )
-            if not corrected:
-                report.record_uncorrectable(f"stage1 sub-FFT {i} could not be corrected")
-
-        # ----- between the parts -------------------------------------------
-        if self.memory_ft:
-            mid_pair = _Pair(
-                weighted_sum(mem_m.w1, intermediate, axis=0),
-                weighted_sum(mem_m.w2, intermediate, axis=0),
-            )
-            eta_mem_mid = self.thresholds.eta_memory(
-                mem_m.w1, intermediate, weight_rms=consts.w1_m_rms
-            )
-            self._verify_columns(
-                intermediate, slice(0, k), mem_m, mid_pair, eta_mem_mid, report,
-                "pre-twiddle-mcv",
-            )
-
-        r_k = consts.r_k
-        c_k = consts.c_k
-        twiddled = dmr_elementwise(
-            lambda: intermediate * plan.twiddles,
-            report=report,
-            label="twiddle-dmr",
-        )
-        if self.memory_ft:
-            row_pair = mem_k.generate(twiddled, axis=1)
-            eta_mem_row = self.thresholds.eta_memory(
-                mem_k.w1, twiddled, weight_rms=consts.w1_k_rms
-            )
-            self._verify_rows(
-                twiddled, slice(0, m), mem_k, row_pair, eta_mem_row, report,
-                "stage2-input-mcv",
-            )
-        else:
-            row_pair = None
-            eta_mem_row = 0.0
-
-        # ----- part 2 ------------------------------------------------------
-        ccg2 = weighted_sum(c_k, twiddled, axis=1)
-        result = plan.stage2(twiddled)
-        residuals2 = np.abs(weighted_sum(r_k, result, axis=1) - ccg2)
-        report.bump("verifications", m)
-        for local in np.nonzero(residual_exceeds(residuals2, eta2))[0]:
-            j = int(local)
-            report.record_verification("stage2-ccv", j, float(residuals2[j]), eta2, True)
-            corrected = self._recover_stage2(
-                twiddled, result, j, 0, c_k, r_k, eta2, mem_k, row_pair, eta_mem_row,
-                injector, report, retries,
-            )
-            if not corrected:
-                report.record_uncorrectable(f"stage2 sub-FFT {j} could not be corrected")
-
-        output = plan.scatter_output(result)
-        if self.real:
-            return self._finalize_output(output, injector, report)
-        if self.memory_ft:
-            out_s1 = weighted_sum(mem_k.w1, result, axis=1)
-            out_s2 = weighted_sum(mem_k.w2, result, axis=1)
-            self._final_output_check(output, mem_k, out_s1, out_s2, report)
         return output
 
     # ------------------------------------------------------------------

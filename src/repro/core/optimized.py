@@ -22,6 +22,10 @@ four sequential optimizations:
 
 Each optimization can be disabled individually through
 :class:`repro.core.base.OptimizationFlags` for the ablation benchmarks.
+A live injector sees groups of ``group_size`` sub-FFTs; a fault-free run
+takes each part as one group, the same code with every toggle in effect
+(its one group's columns are the whole contiguous working matrix, so the
+contiguous gather copies nothing there).
 """
 
 from __future__ import annotations
@@ -109,17 +113,23 @@ class OptimizedOnlineABFT(FTScheme):
         m, k = plan.m, plan.k
         flags = self.flags
         consts = self.constants
-        group = max(1, int(flags.group_size))
         retries = max(1, int(flags.max_retries))
-        # A live injector may target the checksum-vector generation
-        # (CHECKSUM_COMPUTE), so the rA vectors are regenerated under DMR
-        # exactly as in the paper; the fault-free fast path uses the
-        # bit-identical plan-time constants and skips per-site visit loops.
+        # A live injector sees the paper's run: groups of ``group_size``
+        # sub-FFTs, each one exposed to it, and the rA vectors regenerated
+        # under DMR (it may target CHECKSUM_COMPUTE).  A fault-free run takes
+        # each part as one group and the bit-identical plan-time vectors.
         live = getattr(injector, "is_live", True)
+        group1 = group2 = max(1, int(flags.group_size))
+        if not live:
+            group1, group2 = k, m
 
         # ----- checksum vectors (optimized evaluation, DMR protected) --------
-        r_m = consts.r_m
-        r_k = consts.r_k
+        r_m, r_k = consts.r_m, consts.r_k
+        c_m, c_k = consts.c_m, consts.c_k
+        # Locating weight vectors for the input columns (length m) and for the
+        # intermediate/output rows (length k).
+        w1_m, w2_m = consts.w1_m, consts.w2_m
+        w1_k_out, w2_k_out = consts.w1_k, consts.w2_k
         if live:
             c_m = dmr_elementwise(
                 lambda: input_checksum_weights(m),
@@ -137,9 +147,14 @@ class OptimizedOnlineABFT(FTScheme):
                 report=report,
                 label="checksum-vector-dmr",
             )
-        else:
-            c_m = consts.c_m
-            c_k = consts.c_k
+            if flags.modified_checksums:
+                # The modified pairs re-derived from the DMR-verified rA
+                # vectors (the values are identical; only the provenance
+                # differs).
+                w1_m = c_m
+                w2_m = c_m * np.arange(1, m + 1, dtype=np.float64)
+                w1_k_out = c_k
+                w2_k_out = c_k * np.arange(1, k + 1, dtype=np.float64)
 
         # One robust sample of the input feeds every x-derived threshold
         # (sigma0 is exactly what component_sigma would compute).
@@ -148,22 +163,6 @@ class OptimizedOnlineABFT(FTScheme):
         eta1 = self.thresholds.eta_stage1(m, x, sigma0=sigma0)
         eta2 = self.thresholds.eta_stage2(k, m, x, sigma0=sigma0)
 
-        # Locating weight vectors for the input columns (length m) and for the
-        # intermediate/output rows (length k).  In live mode the modified
-        # pairs are re-derived from the DMR-verified rA vectors (the values
-        # are identical; only the provenance differs).
-        if flags.modified_checksums:
-            if live:
-                w1_m = c_m
-                w2_m = c_m * np.arange(1, m + 1, dtype=np.float64)
-                w1_k_out = c_k
-                w2_k_out = c_k * np.arange(1, k + 1, dtype=np.float64)
-            else:
-                w1_m, w2_m = consts.w1_m, consts.w2_m
-                w1_k_out, w2_k_out = consts.w1_k, consts.w2_k
-        else:
-            w1_m, w2_m = consts.w1_m, consts.w2_m
-            w1_k_out, w2_k_out = consts.w1_k, consts.w2_k
         # The incremental row checksums always use the classic pair: each
         # first-part output element simply adds itself into its row slot.
         u1_k, u2_k = consts.u1_k, consts.u2_k
@@ -186,32 +185,17 @@ class OptimizedOnlineABFT(FTScheme):
             eta_mem_col = 0.0
 
         # Faults strike only after the protection exists.
-        if live:
-            injector.visit(FaultSite.INPUT, work)
-            injector.visit(FaultSite.STAGE1_INPUT, work)
+        injector.visit(FaultSite.INPUT, work)
+        injector.visit(FaultSite.STAGE1_INPUT, work)
 
         # ----- part 1: k m-point FFTs, verified per sub-FFT -------------------
-        if not live:
-            # Fault-free fast path: identical algebra (same checksum passes,
-            # same DMR twiddle, same verification thresholds) but executed
-            # whole-stage - all sub-FFTs as one strided batched call, every
-            # checksum generation/verification a single GEMV/reduction -
-            # instead of group-by-group.  Group granularity only matters for
-            # interleaving with a live injector's fault sites.
-            return self._run_vectorized(
-                work, injector, report, c_m, c_k, r_m, r_k,
-                w1_m, w2_m, w1_k_out, w2_k_out, u1_k, u2_k,
-                ccg1, in_s1, in_s2, eta1, eta2, eta_mem_col, retries,
-            )
-
-        intermediate = np.empty_like(work)
         # Incremental checksums of the second-part inputs (rows), built as the
         # first-part outputs appear (Section 4.3).
         inc_s1 = np.zeros(m, dtype=np.complex128) if self.memory_ft else None
         inc_s2 = np.zeros(m, dtype=np.complex128) if self.memory_ft else None
 
-        for start in range(0, k, group):
-            stop = min(start + group, k)
+        for start in range(0, k, group1):
+            stop = min(start + group1, k)
             cols = slice(start, stop)
 
             if not flags.postpone_verification and self.memory_ft:
@@ -225,8 +209,9 @@ class OptimizedOnlineABFT(FTScheme):
             else:
                 sub = plan.inner_plan.execute_batch(work[:, cols], axis=0)
 
-            for i in range(start, stop):
-                injector.visit(FaultSite.STAGE1_COMPUTE, sub[:, i - start], index=i)
+            if live:
+                for i in range(start, stop):
+                    injector.visit(FaultSite.STAGE1_COMPUTE, sub[:, i - start], index=i)
 
             # Vectorized group verification: one GEMV for the output
             # checksums, one comparison; only violating sub-FFTs (a
@@ -244,16 +229,18 @@ class OptimizedOnlineABFT(FTScheme):
                 if not ok:
                     report.record_uncorrectable(f"stage1 sub-FFT {i} could not be corrected")
 
-            intermediate[:, cols] = sub
+            if start == 0:  # a fault-free run keeps its one group's output as it is
+                intermediate = np.empty_like(work) if live else sub
+            if intermediate is not sub:
+                intermediate[:, cols] = sub
 
-            if self.memory_ft:
-                if flags.incremental_checksums:
-                    # Each output element adds itself to its row slot.
-                    inc_s1 += np.sum(sub, axis=1)
-                    inc_s2 += sub @ np.arange(start + 1, stop + 1, dtype=np.float64)
-                # (non-incremental variant regenerates them after part 1)
+            if self.memory_ft and flags.incremental_checksums:
+                # Each output element adds itself to its row slot.
+                inc_s1 += np.sum(sub, axis=1)
+                inc_s2 += sub @ np.arange(start + 1, stop + 1, dtype=np.float64)
 
         if self.memory_ft and not flags.incremental_checksums:
+            # The non-incremental variant re-reads the intermediate array.
             inc_s1 = weighted_sum(u1_k, intermediate, axis=1)
             inc_s2 = weighted_sum(u2_k, intermediate, axis=1)
 
@@ -268,12 +255,11 @@ class OptimizedOnlineABFT(FTScheme):
         injector.visit(FaultSite.INTERMEDIATE, intermediate)
 
         # ----- part 2: m k-point FFTs, twiddle DMR, verified per sub-FFT ------
-        result = np.empty_like(intermediate)
         out_s1 = np.empty(m, dtype=np.complex128) if self.memory_ft else None
         out_s2 = np.empty(m, dtype=np.complex128) if self.memory_ft else None
 
-        for start in range(0, m, group):
-            stop = min(start + group, m)
+        for start in range(0, m, group2):
+            stop = min(start + group2, m)
             rows = slice(start, stop)
 
             # MCV of the second-part inputs (rows of the intermediate array),
@@ -298,8 +284,9 @@ class OptimizedOnlineABFT(FTScheme):
             ccg2 = weighted_sum(c_k, twiddled, axis=1)
 
             sub = plan.outer_plan.execute_batch(twiddled, axis=1)
-            for j in range(start, stop):
-                injector.visit(FaultSite.STAGE2_COMPUTE, sub[j - start, :], index=j)
+            if live:
+                for j in range(start, stop):
+                    injector.visit(FaultSite.STAGE2_COMPUTE, sub[j - start, :], index=j)
 
             residuals = np.abs(weighted_sum(r_k, sub, axis=1) - ccg2)
             report.bump("verifications", stop - start)
@@ -312,7 +299,10 @@ class OptimizedOnlineABFT(FTScheme):
                 if not ok:
                     report.record_uncorrectable(f"stage2 sub-FFT {j} could not be corrected")
 
-            result[rows, :] = sub
+            if start == 0:
+                result = np.empty_like(intermediate) if live else sub
+            if result is not sub:
+                result[rows, :] = sub
 
             if self.memory_ft:
                 out_s1[rows] = weighted_sum(w1_k_out, sub, axis=1)
@@ -333,89 +323,6 @@ class OptimizedOnlineABFT(FTScheme):
                 weight_rms=consts.w1_k_rms,
             )
 
-        return output
-
-    # ------------------------------------------------------------------
-    # fault-free fast path
-    # ------------------------------------------------------------------
-    def _run_vectorized(
-        self, work, injector, report, c_m, c_k, r_m, r_k,
-        w1_m, w2_m, w1_k_out, w2_k_out, u1_k, u2_k,
-        ccg1, in_s1, in_s2, eta1, eta2, eta_mem_col, retries,
-    ) -> np.ndarray:
-        """Whole-stage execution of the optimized scheme (no live injector).
-
-        Performs exactly the passes of Fig. 3 - CMCG (done by the caller),
-        per-sub-FFT CCV, incremental row MCG, pre-part-2 MCV, DMR twiddle,
-        CCG/CCV of part 2, output CMCG and final CMCV - but each pass is one
-        batched call over the full working matrix instead of a group loop.
-        """
-
-        plan = self.plan
-        m, k = plan.m, plan.k
-        consts = self.constants
-
-        if self.memory_ft and not self.flags.postpone_verification:
-            # Un-postponed ablation variant: verify all inputs before use.
-            self._verify_input_columns(
-                work, 0, k, w1_m, w2_m, in_s1, in_s2, eta_mem_col, report
-            )
-
-        # ----- part 1: all k m-point sub-FFTs as one strided batched call --
-        intermediate = plan.stage1(work)
-        residuals = np.abs(weighted_sum(r_m, intermediate, axis=0) - ccg1)
-        report.bump("verifications", k)
-        for local in np.nonzero(residual_exceeds(residuals, eta1))[0]:
-            i = int(local)
-            report.record_verification("stage1-ccv", i, float(residuals[i]), eta1, True)
-            ok = self._recover_stage1(
-                work, intermediate, i, 0, c_m, r_m, eta1,
-                w1_m, w2_m, in_s1, in_s2, eta_mem_col, injector, report, retries,
-            )
-            if not ok:
-                report.record_uncorrectable(f"stage1 sub-FFT {i} could not be corrected")
-
-        if self.memory_ft:
-            # Incremental row checksums (Section 4.3), one reduction each,
-            # then the pre-part-2 MCV of the intermediate rows.
-            inc_s1 = weighted_sum(u1_k, intermediate, axis=1)
-            inc_s2 = weighted_sum(u2_k, intermediate, axis=1)
-            eta_mem_row = self.thresholds.eta_memory(
-                u1_k, intermediate, weight_rms=consts.u1_k_rms
-            )
-            self._verify_intermediate_rows(
-                intermediate, 0, m, u1_k, u2_k, inc_s1, inc_s2, eta_mem_row, report
-            )
-
-        # ----- part 2: DMR twiddle + all m k-point sub-FFTs, batched -------
-        twiddled = dmr_elementwise(
-            lambda: intermediate * plan.twiddles,
-            report=report,
-            label="twiddle-dmr",
-        )
-        ccg2 = weighted_sum(c_k, twiddled, axis=1)
-        result = plan.stage2(twiddled)
-        residuals2 = np.abs(weighted_sum(r_k, result, axis=1) - ccg2)
-        report.bump("verifications", m)
-        for local in np.nonzero(residual_exceeds(residuals2, eta2))[0]:
-            j = int(local)
-            report.record_verification("stage2-ccv", j, float(residuals2[j]), eta2, True)
-            ok = self._recover_stage2(
-                twiddled, result, j, 0, c_k, r_k, eta2, injector, report, retries
-            )
-            if not ok:
-                report.record_uncorrectable(f"stage2 sub-FFT {j} could not be corrected")
-
-        output = plan.scatter_output(result)
-        if self.real:
-            return self._finalize_output(output, injector, report)
-        if self.memory_ft:
-            out_s1 = weighted_sum(w1_k_out, result, axis=1)
-            out_s2 = weighted_sum(w2_k_out, result, axis=1)
-            self._final_output_check(
-                output, w1_k_out, w2_k_out, out_s1, out_s2, report,
-                weight_rms=consts.w1_k_rms,
-            )
         return output
 
     # ------------------------------------------------------------------

@@ -32,8 +32,9 @@ class NullInjector:
 
     Schemes accept ``injector=None`` and substitute this object so the hot
     path does not need ``if injector is not None`` checks everywhere.
-    ``is_live`` is ``False``: schemes may skip per-site visit loops and use
-    their plan-time constants directly, because no fault can strike.
+    ``is_live`` is ``False``: schemes take each part as one group, skip
+    the per-sub-FFT visit loops and use their plan-time constants directly,
+    because no fault can strike.
     """
 
     #: no faults can ever fire through this injector

@@ -55,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - fftlib does not import repro.core at run
 __all__ = [
     "BackendProgram",
     "ProtectedStageProgram",
+    "finish_inverse",
 ]
 
 
@@ -155,17 +156,32 @@ class ProtectedStageProgram:
         y = self.program.execute(x, out=None if backward else out)
         if not backward:
             return y, np.dot(y, self.r)
-        if y.size >= _NATIVE_MIN_ELEMENTS and self.program.native is not None:
-            # The program ran in C: finish there too, in place, one pass a row.
-            # reprolint: alloc-ok - p residue-class sums a row, not an n-vector
-            sums = np.empty(y.shape[:-1] + (self.p,), dtype=np.complex128)
-            for row, row_sums in zip(y.reshape(-1, self.n), sums.reshape(-1, self.p)):
-                self.program.native.finish_inverse(row, row_sums)
-            return y, np.dot(sums, self.r[: self.p])
-        rx = np.dot(y, self.r)
-        # reprolint: alloc-ok - the inverse's output: F(x) reversed, then
-        # scaled in place through its float64 view, as the C finish scales
-        inverse = np.concatenate((y[..., :1], y[..., :0:-1]), axis=-1)
-        parts = inverse.view(np.float64)
-        parts *= 1.0 / self.n
-        return inverse, rx
+        return finish_inverse(self.program, y, self.r, self.p)
+
+
+def finish_inverse(
+    program: Any, y: np.ndarray, r: Optional[np.ndarray] = None, p: int = 1
+) -> Tuple[np.ndarray, Any]:
+    """Turn ``program``'s output ``y = F(x)`` into the inverse DFT of ``x``.
+
+    The inverse is ``y`` reversed and scaled by ``1/n``; with ``r`` (of
+    period ``p``) the second value is the check's ``r . F(x)``, else
+    ``None``.  Where ``program`` ran in C the finish is one in-place C pass
+    a row, else a reversed, scaled NumPy copy.
+    """
+
+    n = y.shape[-1]
+    if y.size >= _NATIVE_MIN_ELEMENTS and program.native is not None:
+        # The program ran in C: finish there too, in place, one pass a row.
+        # reprolint: alloc-ok - p residue-class sums a row, not an n-vector
+        sums = np.empty(y.shape[:-1] + (p,), dtype=np.complex128)
+        for row, row_sums in zip(y.reshape(-1, n), sums.reshape(-1, p)):
+            program.native.finish_inverse(row, row_sums)
+        return y, None if r is None else np.dot(sums, r[:p])
+    rx = None if r is None else np.dot(y, r)
+    # reprolint: alloc-ok - the inverse's output: F(x) reversed, then
+    # scaled in place through its float64 view, as the C finish scales
+    inverse = np.concatenate((y[..., :1], y[..., :0:-1]), axis=-1)
+    parts = inverse.view(np.float64)
+    parts *= 1.0 / n
+    return inverse, rx

@@ -14,10 +14,12 @@ from repro.core.checksums import (
     memory_weights_classic,
     memory_weights_modified,
     omega3,
+    repair_single_error,
     roots_of_unity_naive,
     roots_of_unity_split,
     weighted_sum,
 )
+from repro.faults.bitflip import flip_bit_in_complex
 from repro.fftlib.dft import dft_matrix
 
 
@@ -176,6 +178,23 @@ class TestLocateSingleError:
         index, delta = located
         assert index == position
         assert np.isclose(delta, 3.5 - 1.25j, atol=1e-8)
+
+    @pytest.mark.parametrize("modified", [True, False])
+    @pytest.mark.parametrize("bit", [52, 62])
+    def test_exponent_bit_repair_keeps_the_data_normal(self, modified, bit):
+        """A bit-62 flip (~9e307) overflows the weighted sums; the rescale that
+        follows must not turn the other elements into subnormals."""
+
+        n = 4096
+        x, w1, w2, s1, s2 = self._setup(n=n, modified=modified)
+        x = x / (2.0 * np.max(np.abs(x)))  # every element below 1: bit 62 is clear
+        s1, s2 = np.dot(w1, x), np.dot(w2, x)
+        corrupted = x.copy()
+        corrupted[100] = flip_bit_in_complex(corrupted[100], bit)
+        with np.errstate(under="raise"):
+            repaired = repair_single_error(corrupted, w1, w2, s1, s2)
+        assert repaired is not None and repaired[0] == 100
+        np.testing.assert_allclose(corrupted, x, rtol=0, atol=1e-12)
 
     def test_clean_vector_returns_none(self):
         x, w1, w2, s1, s2 = self._setup()

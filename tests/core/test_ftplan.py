@@ -404,6 +404,29 @@ class TestExecuteMany:
         spectra_close(batch.output, np.fft.fft(X, axis=-1))
         assert "verifications" not in batch.report.counters
 
+    @pytest.mark.parametrize("name", ["fftw", "fftw+numpy"])
+    @pytest.mark.parametrize("n", [384, 4096, 65536])
+    def test_unprotected_single_call_is_a_batch_row(self, name, n, rng, spectra_close):
+        """An unprotected plan runs the kernel's unchecked route, not PlainFFT:
+        a single call equals a one-row batch bitwise, and inverts it."""
+
+        p = plan(n, name)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        forward = p.execute(x)
+        np.testing.assert_array_equal(forward.output, p.execute_many(x[None]).output[0])
+        spectra_close(forward.output, np.fft.fft(x))
+        back = p.inverse(forward.output)
+        spectra_close(back.output, x, rtol_scale=1e-8)
+        assert "verifications" not in forward.report.counters
+        assert "verifications" not in back.report.counters
+
+    def test_unprotected_live_injector_still_takes_the_plain_scheme(self, rng):
+        p = plan(1024, "fftw")
+        x = rng.standard_normal(1024) + 0j
+        injector = FaultInjector().arm_computational(FaultSite.STAGE1_COMPUTE, index=3)
+        p.execute(x, injector)
+        assert injector.fired_count == 1  # an interior site only the scheme visits
+
     def test_numpy_backend_batch(self, rng, spectra_close):
         p = plan(512, backend="numpy")
         X = rng.standard_normal((8, 512)) + 0j

@@ -1,4 +1,4 @@
-"""Tests for plan-time ABFT constants and the fault-free fast path."""
+"""Tests for plan-time ABFT constants and the schemes' fault-free runs."""
 
 import numpy as np
 import pytest
@@ -136,6 +136,12 @@ class TestNoSetupWorkInsideExecute:
         count = self._count_builder_calls(monkeypatch, lambda: plan.execute(x))
         assert count == 0
 
+    @pytest.mark.parametrize("name", ["opt-online+mem", "online+mem", "opt-offline+mem"])
+    def test_fault_free_scheme_run_builds_no_weight_vectors(self, monkeypatch, name, x):
+        scheme = FTPlan(N, name).scheme
+        count = self._count_builder_calls(monkeypatch, lambda: scheme.execute(x))
+        assert count == 0
+
     def test_batched_execute_builds_no_weight_vectors(self, monkeypatch, x):
         plan = FTPlan(N, "opt-online+mem")
         X = np.stack([x, 2 * x, x[::-1].copy()])
@@ -153,16 +159,21 @@ class TestNoSetupWorkInsideExecute:
 
 
 class TestFastPathEquivalence:
-    """Fault-free results agree between the fast path and the legacy path."""
+    """A scheme's fault-free run and its unarmed live run agree bitwise."""
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
-    def test_null_vs_unarmed_live_injector(self, name, x, spectra_close):
-        plan = FTPlan(N, name)
-        fast = plan.execute(x)  # NullInjector -> vectorized fast path
-        legacy = plan.execute(x, FaultInjector())  # live -> group-wise path
-        spectra_close(fast.output, legacy.output, rtol_scale=1e-12)
-        assert not fast.report.detected
-        assert not legacy.report.detected
+    def test_null_vs_unarmed_live_injector(self, name, random_complex):
+        # at 4096 (64 x 64) a live run takes two groups of 32 per part
+        for n in (N, 4096):
+            x = random_complex(n)
+            scheme = FTPlan(n, name).scheme
+            fault_free = scheme.execute(x)  # one group per part, plan-time vectors
+            live = scheme.execute(x, FaultInjector())  # groups of group_size, DMR vectors
+            np.testing.assert_array_equal(fault_free.output, live.output)
+            assert fault_free.report.counters == live.report.counters
+            assert fault_free.report.summary() == live.report.summary()
+            assert not fault_free.report.detected
+            assert not live.report.detected
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
     def test_fast_path_matches_numpy(self, name, x, spectra_close):
@@ -233,3 +244,61 @@ class TestFastPathEquivalence:
         np.testing.assert_array_equal(
             scheme.constants.w1_m, np.ones(scheme.plan.m, dtype=np.complex128)
         )
+
+
+class TestOptimizationFlagsShapeTheRun:
+    """Each Section 4 toggle changes what a fault-free optimized run executes."""
+
+    def _calls(self, monkeypatch, flags, x):
+        import repro.core.optimized as optimized_mod
+
+        scheme = OptimizedOnlineABFT(N, memory_ft=True, flags=flags)
+        consts = scheme.constants
+        # c_m first: with modified checksums w1_m *is* c_m and keeps its name
+        names = {}
+        for label in ("u2_k", "u1_k", "w2_m", "w1_m", "c_m"):
+            names[id(getattr(consts, label))] = label
+        calls = []
+        with monkeypatch.context() as patch:
+            weighted_sum = optimized_mod.weighted_sum
+
+            def recording_sum(weights, data, axis=0):
+                calls.append(names.get(id(weights), "other"))
+                return weighted_sum(weights, data, axis=axis)
+
+            columns = scheme.plan.stage1_columns
+            verify = scheme._verify_input_columns
+            patch.setattr(optimized_mod, "weighted_sum", recording_sum)
+            patch.setattr(
+                scheme.plan, "stage1_columns",
+                lambda *args: calls.append("stage1_columns") or columns(*args),
+            )
+            patch.setattr(
+                scheme, "_verify_input_columns",
+                lambda *args: calls.append("input-mcv") or verify(*args),
+            )
+            result = scheme.execute(x)
+        assert not result.report.detected
+        return calls
+
+    @pytest.mark.parametrize(
+        "field, probe, default, ablated",
+        [
+            # Section 4.4: the group's columns gathered into a contiguous buffer
+            ("contiguous_buffer", "stage1_columns", 1, 0),
+            # Section 4.3: the row checksums re-read from the intermediate array
+            ("incremental_checksums", "u2_k", 0, 1),
+            # Section 4.2: the input memory check before the sub-FFTs
+            ("postpone_verification", "input-mcv", 0, 1),
+            # Section 4.1: a separate pass for the first locating checksum
+            ("modified_checksums", "w1_m", 0, 1),
+        ],
+    )
+    def test_each_flag_changes_the_fault_free_run(
+        self, monkeypatch, x, field, probe, default, ablated
+    ):
+        from repro.core.base import OptimizationFlags
+
+        on = self._calls(monkeypatch, OptimizationFlags(), x)
+        off = self._calls(monkeypatch, OptimizationFlags(**{field: False}), x)
+        assert (on.count(probe), off.count(probe)) == (default, ablated)
